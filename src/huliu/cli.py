@@ -277,10 +277,12 @@ def _cmd_hl_verify(args: argparse.Namespace) -> int:
     structure = parse_structure(_read_file(args.file))
     if not isinstance(structure, RawHlRing):
         raise InputError("kind-mismatch", f"{args.file} does not hold an hlring document")
-    violations = hlring_violations(structure)
+    try:
+        ring, violations = validate_hlring(structure), []
+    except ValidationFailure as failure:
+        ring, violations = None, failure.violations
     lines, rows, ok = _axiom_lines(HLRING_CHECKS, violations)
-    if ok:
-        ring = validate_hlring(structure)
+    if ring is not None:
         lines.append(f"halo = {format_subset(ring.halo)}")
         lines.append(f"hl-commutative: {'yes' if is_hl_commutative(ring) else 'no'}")
         for name, holds in diassociativity_report(ring).items():

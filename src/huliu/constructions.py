@@ -12,14 +12,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import InputError, TheoremAlarm, ValidationFailure, Violation
 from .kernel import (
     SENTINEL,
     FiniteAbelianGroup,
+    Law,
     Subset,
     Table,
+    _associative,
+    _commutative,
+    _law_violations,
+    _left_distributive,
+    _right_distributive,
     check_table_shape,
     element_orders,
     enumerate_subgroups,
@@ -88,43 +94,20 @@ def comm_ring_violations(ring: FiniteCommRing) -> list[Violation]:
     if out:
         return out
     rng = range(n)
-
-    def scan3(code: str, message: str, law) -> None:
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    if not law(x, y, z):
-                        out.append(Violation(code, (x, y, z), message))
-                        return
-
-    scan3(
-        "ring-left-distributive",
-        "x(y+z) != xy+xz",
-        lambda x, y, z: mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]],
+    cube = (rng, rng, rng)
+    laws = (
+        Law("ring-left-distributive", "x(y+z) != xy+xz", cube, _left_distributive(mul, add)),
+        Law("ring-right-distributive", "(x+y)z != xz+yz", cube, _right_distributive(mul, add)),
+        Law("ring-not-associative", "(xy)z != x(yz)", cube, _associative(mul)),
+        Law("ring-not-commutative", "xy != yx", (rng, rng), _commutative(mul)),
+        Law(
+            "ring-identity-fails",
+            "designated identity fails",
+            (rng,),
+            lambda: (mul[ring.one], tuple(rng)),
+        ),
     )
-    scan3(
-        "ring-right-distributive",
-        "(x+y)z != xz+yz",
-        lambda x, y, z: mul[add[x][y]][z] == add[mul[x][z]][mul[y][z]],
-    )
-    scan3(
-        "ring-not-associative",
-        "(xy)z != x(yz)",
-        lambda x, y, z: mul[mul[x][y]][z] == mul[x][mul[y][z]],
-    )
-    for x in rng:
-        for y in rng:
-            if mul[x][y] != mul[y][x]:
-                out.append(Violation("ring-not-commutative", (x, y), "xy != yx"))
-                break
-        else:
-            continue
-        break
-    for x in rng:
-        if mul[ring.one][x] != x:
-            out.append(Violation("ring-identity-fails", (x,), "designated identity fails"))
-            break
-    return out
+    return _law_violations(laws)
 
 
 def validate_comm_ring(ring: FiniteCommRing) -> FiniteCommRing:
@@ -486,47 +469,24 @@ def lcrng_isomorphic(r1: LcRng, r2: LcRng) -> bool:
         [y for y in range(n) if orders2[y] == orders1[g]] for g in gens
     ]
     for images in itertools.product(*candidates):
-        sigma = [0] * n
-        ok = True
-        for x in range(n):
-            acc = 0
-            for gi in expr[x]:
-                acc = g2.add[acc][images[gi]]
-            sigma[x] = acc
-        if len(set(sigma)) != n:
-            continue
-        for x in range(n):
-            for y in range(n):
-                if sigma[g1.add[x][y]] != g2.add[sigma[x]][sigma[y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if sigma[r1.left_identity] not in lids2:
-            continue
-        if frozenset(sigma[x] for x in r1.halo) != r2.halo:
-            continue
-        for x in range(n):
-            for y in range(n):
-                if sigma[r1.mul[x][y]] != r2.mul[sigma[x]][sigma[y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for a in halo1:
-            for b in halo1:
-                if sigma[r1.local_mul[a][b]] != r2.local_mul[sigma[a]][sigma[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        sigma = [g2.sum(images[gi] for gi in expr[x]) for x in range(n)]
+        if (
+            len(set(sigma)) == n
+            and _carries(sigma, g1.add, g2.add, range(n))
+            and sigma[r1.left_identity] in lids2
+            and frozenset(sigma[x] for x in r1.halo) == r2.halo
+            and _carries(sigma, r1.mul, r2.mul, range(n))
+            and _carries(sigma, r1.local_mul, r2.local_mul, halo1)
+        ):
             return True
     return False
+
+
+def _carries(sigma: list[int], t1: Table, t2: Table, dom: Sequence[int]) -> bool:
+    """sigma(x∘y) = sigma(x)∘'sigma(y) for all x, y in dom."""
+    return all(
+        [sigma[t1[x][y]] for y in dom] == [t2[sigma[x]][sigma[y]] for y in dom] for x in dom
+    )
 
 
 def catalog() -> dict[str, LcRng]:

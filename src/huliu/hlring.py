@@ -13,10 +13,24 @@ The ring is Hu-Liu commutative when x⇀y - y↼x always lands in the halo
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable
 
 from .errors import InputError, TheoremAlarm, ValidationFailure, Violation
-from .kernel import FiniteAbelianGroup, Subset, Table, check_table_shape, group_violations
+from .kernel import (
+    FiniteAbelianGroup,
+    Law,
+    Subset,
+    Table,
+    _associative,
+    _bracketed,
+    _first_witness,
+    _law_violations,
+    _left_distributive,
+    _right_distributive,
+    check_table_shape,
+    group_violations,
+)
 from .lcrng import LcRng, Metadata, induced_table
 
 
@@ -101,96 +115,65 @@ def hlring_violations(raw: RawHlRing) -> list[Violation]:
     if out:
         return out
     rng = range(n)
-
-    def scan3(code: str, message: str, law: Callable[[int, int, int], bool]) -> None:
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    if not law(x, y, z):
-                        out.append(Violation(code, (x, y, z), message))
-                        return
-
-    scan3(
-        "bullet-left-distributive",
-        "x•(y+z) != x•y + x•z",
-        lambda x, y, z: bullet[x][add[y][z]] == add[bullet[x][y]][bullet[x][z]],
-    )
-    scan3(
-        "bullet-right-distributive",
-        "(x+y)•z != x•z + y•z",
-        lambda x, y, z: bullet[add[x][y]][z] == add[bullet[x][z]][bullet[y][z]],
-    )
-    scan3(
-        "bullet-not-associative",
-        "(x•y)•z != x•(y•z)",
-        lambda x, y, z: bullet[bullet[x][y]][z] == bullet[x][bullet[y][z]],
-    )
     s = raw.sigma
-    for x in rng:
-        if bullet[s][x] != x or bullet[x][s] != x:
-            out.append(Violation("bullet-identity-fails", (x,), "σ is not a •-identity"))
-            break
-    neg = [add[a].index(0) for a in rng]
-    found = False
-    for x in rng:
-        xs = ra[la[x][s]]
-        for y in rng:
-            if bullet[x][y] != add[ra[x][y]][add[la[x][y]][neg[xs[y]]]]:
-                out.append(
-                    Violation(
-                        "product-decomposition", (x, y), "x•y != x⇀y + x↼y - (x↼σ)⇀y"
-                    )
-                )
-                found = True
-                break
-        if found:
-            break
-    scan3(
-        "strong-law-bullet-link",
-        "(x⇀y)•z != x•(y↼z)",
-        lambda x, y, z: bullet[ra[x][y]][z] == bullet[x][la[y][z]],
+    neg = raw.group.negation
+    cube = (rng, rng, rng)
+
+    def sigma_fixes() -> tuple:
+        return [(bullet[s][x], bullet[x][s]) for x in rng], [(x, x) for x in rng]
+
+    def decomposed(x: int) -> tuple:
+        parts = zip(ra[x], la[x], ra[la[x][s]])
+        return list(bullet[x]), [add[r][add[l][neg[t]]] for r, l, t in parts]
+
+    laws = (
+        Law(
+            "bullet-left-distributive",
+            "x•(y+z) != x•y + x•z",
+            cube,
+            _left_distributive(bullet, add),
+        ),
+        Law(
+            "bullet-right-distributive",
+            "(x+y)•z != x•z + y•z",
+            cube,
+            _right_distributive(bullet, add),
+        ),
+        Law("bullet-not-associative", "(x•y)•z != x•(y•z)", cube, _associative(bullet)),
+        Law("bullet-identity-fails", "σ is not a •-identity", (rng,), sigma_fixes),
+        Law("product-decomposition", "x•y != x⇀y + x↼y - (x↼σ)⇀y", (rng, rng), decomposed),
+        Law(
+            "strong-law-bullet-link", "(x⇀y)•z != x•(y↼z)", cube, _bracketed(bullet, ra, bullet, la)
+        ),
+        Law("strong-law-rarrow", "x⇀(y•z) != (x⇀y)⇀z", cube, _bracketed(ra, ra, ra, bullet)),
+        Law(
+            "strong-law-larrow",
+            "(x•y)↼z != (x↼y)↼z",
+            cube,
+            lambda x, y: (la[bullet[x][y]], la[la[x][y]]),
+        ),
+        Law("rarrow-left-distributive", "x⇀(y+z) != x⇀y + x⇀z", cube, _left_distributive(ra, add)),
+        Law(
+            "rarrow-right-distributive", "(x+y)⇀z != x⇀z + y⇀z", cube, _right_distributive(ra, add)
+        ),
+        Law("larrow-left-distributive", "x↼(y+z) != x↼y + x↼z", cube, _left_distributive(la, add)),
+        Law(
+            "larrow-right-distributive", "(x+y)↼z != x↼z + y↼z", cube, _right_distributive(la, add)
+        ),
+        Law(
+            "rarrow-not-associative",
+            "⇀ is not associative (inconsistent input: this must follow)",
+            cube,
+            _associative(ra),
+        ),
+        Law(
+            "larrow-not-associative",
+            "↼ is not associative (inconsistent input: this must follow)",
+            cube,
+            _associative(la),
+        ),
     )
-    scan3(
-        "strong-law-rarrow",
-        "x⇀(y•z) != (x⇀y)⇀z",
-        lambda x, y, z: ra[x][bullet[y][z]] == ra[ra[x][y]][z],
-    )
-    scan3(
-        "strong-law-larrow",
-        "(x•y)↼z != (x↼y)↼z",
-        lambda x, y, z: la[bullet[x][y]][z] == la[la[x][y]][z],
-    )
-    scan3(
-        "rarrow-left-distributive",
-        "x⇀(y+z) != x⇀y + x⇀z",
-        lambda x, y, z: ra[x][add[y][z]] == add[ra[x][y]][ra[x][z]],
-    )
-    scan3(
-        "rarrow-right-distributive",
-        "(x+y)⇀z != x⇀z + y⇀z",
-        lambda x, y, z: ra[add[x][y]][z] == add[ra[x][z]][ra[y][z]],
-    )
-    scan3(
-        "larrow-left-distributive",
-        "x↼(y+z) != x↼y + x↼z",
-        lambda x, y, z: la[x][add[y][z]] == add[la[x][y]][la[x][z]],
-    )
-    scan3(
-        "larrow-right-distributive",
-        "(x+y)↼z != x↼z + y↼z",
-        lambda x, y, z: la[add[x][y]][z] == add[la[x][z]][la[y][z]],
-    )
-    scan3(
-        "rarrow-not-associative",
-        "⇀ is not associative (inconsistent input: this must follow)",
-        lambda x, y, z: ra[ra[x][y]][z] == ra[x][ra[y][z]],
-    )
-    scan3(
-        "larrow-not-associative",
-        "↼ is not associative (inconsistent input: this must follow)",
-        lambda x, y, z: la[la[x][y]][z] == la[x][la[y][z]],
-    )
-    return out
+    return _law_violations(laws)
 
 
 def validate_hlring(raw: RawHlRing) -> HlRing:
@@ -216,14 +199,16 @@ def hl_halo(ring: HlRing) -> Subset:
 
 
 def hl_commutativity_violation(ring: HlRing) -> Violation | None:
-    for x in ring.elements():
-        for y in ring.elements():
-            diff = ring.minus(ring.rarrow[x][y], ring.larrow[y][x])
-            if diff not in ring.halo:
-                return Violation(
-                    "not-hl-commutative", (x, y), "x⇀y - y↼x is outside the halo"
-                )
-    return None
+    add, neg, halo, la = ring.group.add, ring.group.negation, ring.halo, ring.larrow
+    rng = ring.elements()
+    inside = [True] * ring.order
+    witness = _first_witness(
+        lambda x: ([add[v][neg[r[x]]] in halo for v, r in zip(ring.rarrow[x], la)], inside),
+        (rng, rng),
+    )
+    if witness is None:
+        return None
+    return Violation("not-hl-commutative", witness, "x⇀y - y↼x is outside the halo")
 
 
 def is_hl_commutative(ring: HlRing) -> bool:
@@ -245,14 +230,14 @@ def from_lcrng(structure: LcRng) -> HlRing:
         name=f"hl({structure.name})" if structure.name else "",
         metadata=structure.metadata,
     )
-    violations = hlring_violations(raw)
-    if violations:
+    try:
+        ring = validate_hlring(raw)
+    except ValidationFailure as failure:
         raise TheoremAlarm(
             "bridge-axiom-failure",
             "bridge output failed validation on a validated input",
-            dump="\n".join(str(v) for v in violations),
-        )
-    ring = validate_hlring(raw)
+            dump="\n".join(str(v) for v in failure.violations),
+        ) from failure
     if ring.halo != structure.halo:
         raise TheoremAlarm(
             "bridge-axiom-failure",
@@ -263,55 +248,26 @@ def from_lcrng(structure: LcRng) -> HlRing:
     return ring
 
 
-DialgebraIdentity = tuple[str, Callable[[HlRing, int, int, int], tuple[int, int]]]
-
-DIALGEBRA_IDENTITIES: tuple[DialgebraIdentity, ...] = (
-    (
-        "(x<y)<z == x<(y<z)",
-        lambda H, x, y, z: (H.larrow[H.larrow[x][y]][z], H.larrow[x][H.larrow[y][z]]),
-    ),
+# Loday's associative-dialgebra axioms with < as ↼ and > as ⇀.  Each row
+# function takes the (<, >) tables and x, y, and returns both sides as rows
+# over z.
+DIALGEBRA_IDENTITIES: tuple[tuple[str, Callable[..., tuple]], ...] = (
+    ("(x<y)<z == x<(y<z)", lambda lt, gt, x, y: (list(lt[lt[x][y]]), [lt[x][v] for v in lt[y]])),
     (
         "x<(y<z) == x<(y>z)",
-        lambda H, x, y, z: (H.larrow[x][H.larrow[y][z]], H.larrow[x][H.rarrow[y][z]]),
+        lambda lt, gt, x, y: ([lt[x][v] for v in lt[y]], [lt[x][v] for v in gt[y]]),
     ),
-    (
-        "(x>y)<z == x>(y<z)",
-        lambda H, x, y, z: (H.larrow[H.rarrow[x][y]][z], H.rarrow[x][H.larrow[y][z]]),
-    ),
-    (
-        "(x<y)>z == (x>y)>z",
-        lambda H, x, y, z: (H.rarrow[H.larrow[x][y]][z], H.rarrow[H.rarrow[x][y]][z]),
-    ),
-    (
-        "x>(y>z) == (x>y)>z",
-        lambda H, x, y, z: (H.rarrow[x][H.rarrow[y][z]], H.rarrow[H.rarrow[x][y]][z]),
-    ),
+    ("(x>y)<z == x>(y<z)", lambda lt, gt, x, y: (list(lt[gt[x][y]]), [gt[x][v] for v in lt[y]])),
+    ("(x<y)>z == (x>y)>z", lambda lt, gt, x, y: (gt[lt[x][y]], gt[gt[x][y]])),
+    ("x>(y>z) == (x>y)>z", lambda lt, gt, x, y: ([gt[x][v] for v in gt[y]], list(gt[gt[x][y]]))),
 )
 
 
-def diassociativity_report(
-    ring: HlRing, identities: Sequence[DialgebraIdentity] | None = None
-) -> dict[str, bool]:
-    """Which of the two-product identities hold (< is ↼, > is ⇀).
-
-    The default set is the five standard associative-dialgebra identities.
-    This is a report, never a validation gate.
-    """
-    chosen = DIALGEBRA_IDENTITIES if identities is None else tuple(identities)
-    out: dict[str, bool] = {}
+def diassociativity_report(ring: HlRing) -> dict[str, bool]:
+    """Which of the five associative-dialgebra identities hold (< is ↼,
+    > is ⇀).  This is a report, never a validation gate."""
     rng = ring.elements()
-    for name, law in chosen:
-        holds = True
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    lhs, rhs = law(ring, x, y, z)
-                    if lhs != rhs:
-                        holds = False
-                        break
-                if not holds:
-                    break
-            if not holds:
-                break
-        out[name] = holds
-    return out
+    return {
+        name: _first_witness(partial(row, ring.larrow, ring.rarrow), (rng, rng, rng)) is None
+        for name, row in DIALGEBRA_IDENTITIES
+    }

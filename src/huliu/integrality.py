@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import InputError, TheoremAlarm
 from .ideals import subrng_violation
-from .kernel import Subset, Table, format_subset
+from .kernel import FiniteAbelianGroup, Law, Subset, Table, _law_violations, format_subset
 from .lcrng import LcRng
 
 
@@ -27,19 +27,18 @@ class ComponentRing:
 
     label: str
     carrier: tuple[int, ...]
-    add: Table
+    group: FiniteAbelianGroup
     table: Table
     identity: int
 
     def plus(self, a: int, b: int) -> int:
-        return self.add[a][b]
+        return self.group.add[a][b]
 
     def neg(self, a: int) -> int:
-        row = self.add[a]
-        return next(b for b in range(len(row)) if row[b] == 0)
+        return self.group.neg(a)
 
     def minus(self, a: int, b: int) -> int:
-        return self.add[a][self.neg(b)]
+        return self.group.minus(a, b)
 
     def times(self, a: int, b: int) -> int:
         v = self.table[a][b]
@@ -70,7 +69,7 @@ def component_ring(structure: LcRng, eps: int) -> ComponentRing:
         ring = ComponentRing(
             label="component-0",
             carrier=tuple(sorted(structure.r0)),
-            add=structure.group.add,
+            group=structure.group,
             table=structure.mul,
             identity=structure.left_identity,
         )
@@ -78,7 +77,7 @@ def component_ring(structure: LcRng, eps: int) -> ComponentRing:
         ring = ComponentRing(
             label="component-1",
             carrier=tuple(sorted(structure.r1)),
-            add=structure.group.add,
+            group=structure.group,
             table=structure.local_mul,
             identity=structure.local_identity,
         )
@@ -93,26 +92,40 @@ def _verify_component_ring(ring: ComponentRing) -> None:
     members = set(carrier)
     if ring.identity not in members:
         raise TheoremAlarm("component-ring-invalid", f"{ring.label}: identity not in carrier")
-    for a in carrier:
-        for b in carrier:
-            ab = ring.times(a, b)
-            if ab not in members or ring.plus(a, b) not in members:
-                raise TheoremAlarm("component-ring-invalid", f"{ring.label}: not closed at ({a},{b})")
-            if ab != ring.times(b, a):
-                raise TheoremAlarm("component-ring-invalid", f"{ring.label}: not commutative at ({a},{b})")
-        if ring.times(ring.identity, a) != a:
-            raise TheoremAlarm("component-ring-invalid", f"{ring.label}: identity fails at {a}")
-    for a in carrier:
-        for b in carrier:
-            for c in carrier:
-                if ring.times(ring.times(a, b), c) != ring.times(a, ring.times(b, c)):
-                    raise TheoremAlarm(
-                        "component-ring-invalid", f"{ring.label}: not associative at ({a},{b},{c})"
-                    )
-                if ring.times(a, ring.plus(b, c)) != ring.plus(ring.times(a, b), ring.times(a, c)):
-                    raise TheoremAlarm(
-                        "component-ring-invalid", f"{ring.label}: not distributive at ({a},{b},{c})"
-                    )
+    add, mul, one = ring.group.add, ring.table, ring.identity
+    pairs, cube = (carrier, carrier), (carrier, carrier, carrier)
+    everywhere = [True] * len(carrier)
+    code = "component-ring-invalid"
+
+    def closed(a: int) -> tuple:
+        return [mul[a][b] in members and add[a][b] in members for b in carrier], everywhere
+
+    def associative(a: int, b: int) -> tuple:
+        return [mul[mul[a][b]][c] for c in carrier], [mul[a][mul[b][c]] for c in carrier]
+
+    def distributive(a: int, b: int) -> tuple:
+        return [mul[a][add[b][c]] for c in carrier], [add[mul[a][b]][mul[a][c]] for c in carrier]
+
+    laws = (
+        Law(code, "not closed at ({},{})", pairs, closed),
+        Law(
+            code,
+            "not commutative at ({},{})",
+            pairs,
+            lambda a: ([mul[a][b] for b in carrier], [mul[b][a] for b in carrier]),
+        ),
+        Law(
+            code,
+            "identity fails at {}",
+            (carrier,),
+            lambda: ([mul[one][a] for a in carrier], [*carrier]),
+        ),
+        Law(code, "not associative at ({},{},{})", cube, associative),
+        Law(code, "not distributive at ({},{},{})", cube, distributive),
+    )
+    bad = _law_violations(laws)
+    if bad:
+        raise TheoremAlarm(code, f"{ring.label}: {bad[0].message}")
 
 
 def _check_subring(ring: ComponentRing, subring: Subset, require_unital: bool) -> list[int]:

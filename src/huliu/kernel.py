@@ -1,4 +1,5 @@
-"""Finite abelian groups, operation tables, and subset utilities.
+"""Finite abelian groups, operation tables, subset utilities, and the law
+scanner that every validator runs.
 
 Elements are indices 0..n-1 and the additive zero is pinned to index 0,
 so subsets and witnesses are stable across tools and file round-trips.
@@ -8,8 +9,11 @@ for undefined entries.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from operator import getitem, itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError, ValidationFailure, Violation
 
@@ -56,21 +60,109 @@ class FiniteAbelianGroup:
     def plus(self, a: int, b: int) -> int:
         return self.add[a][b]
 
+    @cached_property
+    def negation(self) -> tuple[int, ...]:
+        """negation[a] = -a, built on first use so that a table without
+        inverses still reaches group_violations."""
+        for a, row in enumerate(self.add):
+            if 0 not in row:
+                raise InputError("no-additive-inverse", f"element {a} has no inverse")
+        return tuple(row.index(0) for row in self.add)
+
     def neg(self, a: int) -> int:
-        row = self.add[a]
-        for b in range(self.order):
-            if row[b] == 0:
-                return b
-        raise InputError("no-additive-inverse", f"element {a} has no inverse")
+        return self.negation[a]
 
     def minus(self, a: int, b: int) -> int:
-        return self.add[a][self.neg(b)]
+        return self.add[a][self.negation[b]]
 
     def sum(self, items: Iterable[int]) -> int:
         total = 0
         for x in items:
             total = self.add[total][x]
         return total
+
+
+Row = Callable[..., tuple]
+
+
+class Law(NamedTuple):
+    """One axiom, checked over product(*domains) in row-major order.
+
+    row(*prefix) gets all but the last coordinate and returns both sides of
+    the law as two sequences of one type over the last domain; a nullary
+    law (no domains) returns two plain values.  `message` is formatted with
+    the witness.  The law is skipped once a law coded in `requires` failed.
+    """
+
+    code: str
+    message: str
+    domains: tuple[Sequence[int], ...]
+    row: Row
+    requires: tuple[str, ...] = ()
+
+
+def _first_witness(row: Row, domains: tuple[Sequence[int], ...]) -> tuple[int, ...] | None:
+    """First failing tuple in row-major order, or None when the law holds.
+
+    Whole rows are compared at once; only a row that differs is searched
+    for its first differing position.
+    """
+    for prefix in itertools.product(*domains[:-1]):
+        lhs, rhs = row(*prefix)
+        if lhs != rhs:
+            if not domains:
+                return ()
+            return (*prefix, next(z for z, a, b in zip(domains[-1], lhs, rhs) if a != b))
+    return None
+
+
+def _law_violations(laws: Iterable[Law]) -> list[Violation]:
+    """One violation per failed law, in table order."""
+    out: list[Violation] = []
+    failed: set[str] = set()
+    for law in laws:
+        if failed.isdisjoint(law.requires):
+            witness = _first_witness(law.row, law.domains)
+            if witness is not None:
+                out.append(Violation(law.code, witness, law.message.format(*witness)))
+                failed.add(law.code)
+    return out
+
+
+def _gathers(table: Table) -> list[Callable[[Sequence[int]], tuple[int, ...]]]:
+    """gathers[y](s) is the tuple of s[v] for v in table[y], built in C."""
+    if len(table) == 1:  # itemgetter of a single index returns a bare value
+        return [lambda s, v=table[0][0]: (s[v],)]
+    return [itemgetter(*row) for row in table]
+
+
+def _bracketed(f: Table, g: Table, h: Table, k: Table) -> Row:
+    """(x g y) f z against x h (y k z), as rows over z."""
+    over_k = _gathers(k)
+    return lambda x, y: (f[g[x][y]], over_k[y](h[x]))
+
+
+def _associative(op: Table) -> Row:
+    """(xy)z against x(yz), as rows over z."""
+    return _bracketed(op, op, op, op)
+
+
+def _commutative(op: Table) -> Row:
+    """xy against yx, as rows over y."""
+    columns = tuple(zip(*op))
+    return lambda x: (op[x], columns[x])
+
+
+def _left_distributive(op: Table, add: Table) -> Row:
+    """x(y+z) against xy + xz, as rows over z."""
+    over_add, over_op = _gathers(add), _gathers(op)
+    return lambda x, y: (over_add[y](op[x]), over_op[x](add[op[x][y]]))
+
+
+def _right_distributive(op: Table, add: Table) -> Row:
+    """(x+y)z against xz + yz, as rows over z."""
+    over_op = _gathers(op)
+    return lambda x, y: (op[add[x][y]], tuple(map(getitem, over_op[x](add), op[y])))
 
 
 GROUP_CHECKS = (
@@ -86,49 +178,25 @@ def group_violations(add: Sequence[Sequence[int]]) -> list[Violation]:
 
     Each axiom scan stops at the first failing tuple in row-major order.
     """
-    table = check_table_shape(add)
-    n = len(table)
-    out: list[Violation] = []
-
-    for i in range(n):
-        if table[0][i] != i or table[i][0] != i:
-            out.append(
-                Violation("zero-not-at-index-zero", (i,), f"index 0 does not act as zero on {i}")
-            )
-            break
-
-    done = False
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] != table[j][i]:
-                out.append(Violation("add-not-commutative", (i, j), "not commutative"))
-                done = True
-                break
-        if done:
-            break
-
-    done = False
-    for x in range(n):
-        rx = table[x]
-        for y in range(n):
-            rxy = table[rx[y]]
-            ry = table[y]
-            for z in range(n):
-                if rxy[z] != rx[ry[z]]:
-                    out.append(Violation("add-not-associative", (x, y, z), "not associative"))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
-    for a in range(n):
-        if 0 not in table[a]:
-            out.append(Violation("missing-additive-inverse", (a,), f"{a} has no inverse"))
-            break
-
-    return out
+    t = check_table_shape(add)
+    rng = range(len(t))
+    laws = (
+        Law(
+            "zero-not-at-index-zero",
+            "index 0 does not act as zero on {}",
+            (rng,),
+            lambda: (list(zip(t[0], [r[0] for r in t])), list(zip(rng, rng))),
+        ),
+        Law("add-not-commutative", "not commutative", (rng, rng), _commutative(t)),
+        Law("add-not-associative", "not associative", (rng, rng, rng), _associative(t)),
+        Law(
+            "missing-additive-inverse",
+            "{} has no inverse",
+            (rng,),
+            lambda: ([0 in r for r in t], [True] * len(t)),
+        ),
+    )
+    return _law_violations(laws)
 
 
 def validate_group(add: Sequence[Sequence[int]]) -> FiniteAbelianGroup:

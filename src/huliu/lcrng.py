@@ -16,8 +16,13 @@ from .errors import InputError, TheoremAlarm, ValidationFailure, Violation
 from .kernel import (
     SENTINEL,
     FiniteAbelianGroup,
+    Law,
     Subset,
     Table,
+    _associative,
+    _law_violations,
+    _left_distributive,
+    _right_distributive,
     check_table_shape,
     group_violations,
 )
@@ -155,208 +160,105 @@ def lcrng_violations(raw: RawLcRng) -> list[Violation]:
     if out:
         return out
     rng = range(n)
-
-    def first(code: str, witness: tuple[int, ...], message: str) -> None:
-        out.append(Violation(code, witness, message))
-
-    found = False
-    for x in rng:
-        mx = mul[x]
-        for y in rng:
-            ay = add[y]
-            for z in rng:
-                if mul[x][ay[z]] != add[mx[y]][mx[z]]:
-                    first("mul-left-distributive", (x, y, z), "x(y+z) != xy+xz")
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            break
-
-    found = False
-    for x in rng:
-        ax = add[x]
-        for y in rng:
-            for z in rng:
-                if mul[ax[y]][z] != add[mul[x][z]][mul[y][z]]:
-                    first("mul-right-distributive", (x, y, z), "(x+y)z != xz+yz")
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            break
-
-    found = False
-    for x in rng:
-        mx = mul[x]
-        for y in rng:
-            rxy = mul[mx[y]]
-            my = mul[y]
-            for z in rng:
-                if rxy[z] != mx[my[z]]:
-                    first("mul-not-associative", (x, y, z), "(xy)z != x(yz)")
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            break
-
-    found = False
-    for x in rng:
-        mx = mul[x]
-        for y in rng:
-            rxy = mul[mx[y]]
-            ryx = mul[mul[y][x]]
-            if rxy is ryx:
-                continue
-            for z in rng:
-                if rxy[z] != ryx[z]:
-                    first("not-left-commutative", (x, y, z), "xyz != yxz")
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            break
-
-    for x in rng:
-        if mul[e][x] != x:
-            first("left-identity-fails", (x,), f"designated left identity does not fix {x}")
-            break
-
-    for cand in rng:
-        if all(mul[cand][x] == x and mul[x][cand] == x for x in rng):
-            first("two-sided-identity", (cand,), f"{cand} is a two-sided identity; not a rng")
-            break
-
+    ident = tuple(rng)
     halo = frozenset(x for x in rng if mul[x][e] == 0)
     hs = sorted(halo)
-    if halo <= {0}:
-        first("empty-halo", (0,), "the additive halo is trivial")
-
-    halo_ok = True
-    for a in hs:
-        bad = next((b for b in hs if add[a][b] not in halo), None)
-        if bad is not None:
-            first("halo-not-subgroup", (a, bad), "halo not closed under addition")
-            halo_ok = False
-            break
-
-    found = False
-    for a in rng:
-        for b in rng:
-            if loc[a][b] != SENTINEL and not (a in halo and b in halo):
-                first("local-mul-outside-halo", (a, b), "# defined off the halo")
-                found = True
-                break
-        if found:
-            break
-
-    local_total = True
-    found = False
-    for a in hs:
-        for b in hs:
-            if loc[a][b] == SENTINEL:
-                first("local-mul-missing", (a, b), "# undefined on a halo pair")
-                local_total = False
-                found = True
-                break
-        if found:
-            break
-
-    local_identity = None
-    if local_total:
-        found = False
-        for a in hs:
-            for b in hs:
-                if loc[a][b] not in halo:
-                    first("local-mul-not-closed", (a, b), "# leaves the halo")
-                    found = True
-                    break
-            if found:
-                break
-
-        found = False
-        for a in hs:
-            for b in hs:
-                if loc[a][b] != loc[b][a]:
-                    first("local-mul-not-commutative", (a, b), "# not commutative")
-                    found = True
-                    break
-            if found:
-                break
-
-        found = False
-        for a in hs:
-            for b in hs:
-                ab = loc[a][b]
-                if ab not in halo:
-                    continue
-                for c in hs:
-                    bc = loc[b][c]
-                    if bc not in halo:
-                        continue
-                    if loc[ab][c] != loc[a][bc]:
-                        first("local-mul-not-associative", (a, b, c), "# not associative")
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-
-        if halo_ok:
-            found = False
-            for a in hs:
-                for b in hs:
-                    for c in hs:
-                        if loc[a][add[b][c]] != add[loc[a][b]][loc[a][c]]:
-                            first("local-mul-not-distributive", (a, b, c), "a#(b+c) != a#b+a#c")
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-
-        for cand in hs:
-            if all(loc[cand][a] == a for a in hs):
-                local_identity = cand
-                break
-        if local_identity is None:
-            first("no-local-identity", (), "the halo ring has no identity")
-
-        found = False
-        for x in rng:
-            for a in hs:
-                xa = mul[x][a]
-                for b in hs:
-                    ab = loc[a][b]
-                    if xa not in halo or ab not in halo or loc[xa][b] != mul[x][ab]:
-                        first("local-triassociativity", (x, a, b), "(xa)#b != x(a#b)")
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-
     r0 = frozenset(mul[x][e] for x in rng)
-    if r0 & halo != {0} or len(r0) * len(halo) != n:
-        first("grading-not-direct", (), "carrier is not the direct sum of R0 and the halo")
-    else:
-        neg = [add[a].index(0) for a in rng]
-        for a in rng:
-            a0 = mul[a][e]
-            a1 = add[a][neg[a0]]
-            if a1 not in halo or add[a0][a1] != a:
-                first("grading-not-direct", (a,), "element does not split as a0 + a1")
-                break
+    neg = raw.group.negation
+    everywhere, on_halo = [True] * n, [True] * len(hs)
+    cube, halo_pairs, halo_cube = (rng, rng, rng), (hs, hs), (hs, hs, hs)
+    local = ("local-mul-missing",)
 
-    return out
+    def left_commutative(x: int, y: int) -> tuple:
+        return mul[mul[x][y]], mul[mul[y][x]]
+
+    def identities() -> tuple:
+        return [mul[c] == ident and [r[c] for r in mul] == list(ident) for c in rng], [False] * n
+
+    def halo_closed(a: int) -> tuple:
+        return [add[a][b] in halo for b in hs], on_halo
+
+    def defined_on_halo(a: int) -> tuple:
+        on_pair = [a in halo and b in halo for b in rng]
+        return [v == SENTINEL or ok for v, ok in zip(loc[a], on_pair)], everywhere
+
+    def local_defined(a: int) -> tuple:
+        return [loc[a][b] != SENTINEL for b in hs], on_halo
+
+    def local_closed(a: int) -> tuple:
+        return [loc[a][b] in halo for b in hs], on_halo
+
+    def local_commutative(a: int) -> tuple:
+        return [loc[a][b] for b in hs], [loc[b][a] for b in hs]
+
+    def local_associative(a: int, b: int) -> tuple:
+        ab, lb = loc[a][b], loc[b]
+        if ab not in halo:
+            return on_halo, on_halo
+        return [lb[c] not in halo or loc[ab][c] == loc[a][lb[c]] for c in hs], on_halo
+
+    def local_distributive(a: int, b: int) -> tuple:
+        return [loc[a][add[b][c]] for c in hs], [add[loc[a][b]][loc[a][c]] for c in hs]
+
+    def has_local_identity() -> tuple:
+        return any([loc[c][a] for a in hs] == hs for c in hs), True
+
+    def triassociative(x: int, a: int) -> tuple:
+        xa, la = mul[x][a], loc[a]
+        if xa not in halo:
+            return [False] * len(hs), on_halo
+        return [la[b] in halo and loc[xa][b] == mul[x][la[b]] for b in hs], on_halo
+
+    def direct() -> tuple:
+        return r0 & halo == {0} and len(r0) * len(halo) == n, True
+
+    def splits() -> tuple:
+        parts = [(a, r[e], add[a][neg[r[e]]]) for a, r in zip(rng, mul)]
+        return [a1 in halo and add[a0][a1] == a for a, a0, a1 in parts], everywhere
+
+    laws = (
+        Law("mul-left-distributive", "x(y+z) != xy+xz", cube, _left_distributive(mul, add)),
+        Law("mul-right-distributive", "(x+y)z != xz+yz", cube, _right_distributive(mul, add)),
+        Law("mul-not-associative", "(xy)z != x(yz)", cube, _associative(mul)),
+        Law("not-left-commutative", "xyz != yxz", cube, left_commutative),
+        Law(
+            "left-identity-fails",
+            "designated left identity does not fix {}",
+            (rng,),
+            lambda: (mul[e], ident),
+        ),
+        Law("two-sided-identity", "{} is a two-sided identity; not a rng", (rng,), identities),
+        Law(
+            "empty-halo",
+            "the additive halo is trivial",
+            ((0,),),
+            lambda: ([not halo <= {0}], [True]),
+        ),
+        Law("halo-not-subgroup", "halo not closed under addition", halo_pairs, halo_closed),
+        Law("local-mul-outside-halo", "# defined off the halo", (rng, rng), defined_on_halo),
+        Law("local-mul-missing", "# undefined on a halo pair", halo_pairs, local_defined),
+        Law("local-mul-not-closed", "# leaves the halo", halo_pairs, local_closed, local),
+        Law("local-mul-not-commutative", "# not commutative", halo_pairs, local_commutative, local),
+        Law("local-mul-not-associative", "# not associative", halo_cube, local_associative, local),
+        Law(
+            "local-mul-not-distributive",
+            "a#(b+c) != a#b+a#c",
+            halo_cube,
+            local_distributive,
+            ("halo-not-subgroup", *local),
+        ),
+        Law("no-local-identity", "the halo ring has no identity", (), has_local_identity, local),
+        Law("local-triassociativity", "(xa)#b != x(a#b)", (rng, hs, hs), triassociative, local),
+        Law("grading-not-direct", "carrier is not the direct sum of R0 and the halo", (), direct),
+        Law(
+            "grading-not-direct",
+            "element does not split as a0 + a1",
+            (rng,),
+            splits,
+            ("grading-not-direct",),
+        ),
+    )
+    return _law_violations(laws)
 
 
 def validate_lcrng(raw: RawLcRng) -> LcRng:

@@ -202,3 +202,174 @@ def violation_is_genuine(raw: RawLcRng, violation: Violation) -> bool:
         a1 = add[a][add[a0].index(0)]
         return a1 not in halo or add[a0][a1] != a
     return False
+
+
+# ---------------------------------------------------------------- laws
+#
+# Each table below maps a violation code to (domains, holds): the law is
+# checked over itertools.product(*domains) in row-major order, and holds(*t)
+# is the clause written straight from the definition, guards included.  A
+# reported witness is right when the clause fails there and holds at every
+# earlier tuple of the same domains.
+
+
+def _minus(add, a, b):
+    """The c with b + c = a, found by search."""
+    return next(c for c in range(len(add)) if add[b][c] == a)
+
+
+def group_laws(add) -> dict:
+    rng = range(len(add))
+    return {
+        "zero-not-at-index-zero": ([rng], lambda i: add[0][i] == i and add[i][0] == i),
+        "add-not-commutative": ([rng, rng], lambda i, j: add[i][j] == add[j][i]),
+        "add-not-associative": (
+            [rng, rng, rng],
+            lambda x, y, z: add[add[x][y]][z] == add[x][add[y][z]],
+        ),
+        "missing-additive-inverse": ([rng], lambda a: any(add[a][b] == 0 for b in rng)),
+    }
+
+
+def _ring_like_laws(add, mul, prefix: str) -> dict:
+    rng = range(len(add))
+    cube = [rng, rng, rng]
+    return {
+        f"{prefix}-left-distributive": (
+            cube,
+            lambda x, y, z: mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]],
+        ),
+        f"{prefix}-right-distributive": (
+            cube,
+            lambda x, y, z: mul[add[x][y]][z] == add[mul[x][z]][mul[y][z]],
+        ),
+    }
+
+
+def lcrng_laws(raw: RawLcRng) -> dict:
+    add, mul, loc = raw.group.add, raw.mul, raw.local_mul
+    n = len(add)
+    rng = range(n)
+    e = raw.left_identity
+    halo = frozenset(x for x in rng if mul[x][e] == 0)
+    hs = sorted(halo)
+    r0 = frozenset(mul[x][e] for x in rng)
+
+    def splits(a):
+        a0 = mul[a][e]
+        a1 = _minus(add, a, a0)
+        return a1 in halo and add[a0][a1] == a
+
+    if r0 & halo != {0} or len(r0) * len(halo) != n:
+        grading = ([], lambda: False)
+    else:
+        grading = ([rng], splits)
+    laws = _ring_like_laws(add, mul, "mul")
+    laws.update(
+        {
+            "mul-not-associative": (
+                [rng, rng, rng],
+                lambda x, y, z: mul[mul[x][y]][z] == mul[x][mul[y][z]],
+            ),
+            "not-left-commutative": (
+                [rng, rng, rng],
+                lambda x, y, z: mul[mul[x][y]][z] == mul[mul[y][x]][z],
+            ),
+            "left-identity-fails": ([rng], lambda x: mul[e][x] == x),
+            "two-sided-identity": (
+                [rng],
+                lambda c: not all(mul[c][x] == x and mul[x][c] == x for x in rng),
+            ),
+            "empty-halo": ([[0]], lambda _: not halo <= {0}),
+            "halo-not-subgroup": ([hs, hs], lambda a, b: add[a][b] in halo),
+            "local-mul-outside-halo": (
+                [rng, rng],
+                lambda a, b: loc[a][b] == SENTINEL or (a in halo and b in halo),
+            ),
+            "local-mul-missing": ([hs, hs], lambda a, b: loc[a][b] != SENTINEL),
+            "local-mul-not-closed": ([hs, hs], lambda a, b: loc[a][b] in halo),
+            "local-mul-not-commutative": ([hs, hs], lambda a, b: loc[a][b] == loc[b][a]),
+            "local-mul-not-associative": (
+                [hs, hs, hs],
+                lambda a, b, c: loc[a][b] not in halo
+                or loc[b][c] not in halo
+                or loc[loc[a][b]][c] == loc[a][loc[b][c]],
+            ),
+            "local-mul-not-distributive": (
+                [hs, hs, hs],
+                lambda a, b, c: loc[a][add[b][c]] == add[loc[a][b]][loc[a][c]],
+            ),
+            "no-local-identity": (
+                [],
+                lambda: any(all(loc[c][a] == a for a in hs) for c in hs),
+            ),
+            "local-triassociativity": (
+                [rng, hs, hs],
+                lambda x, a, b: mul[x][a] in halo
+                and loc[a][b] in halo
+                and loc[mul[x][a]][b] == mul[x][loc[a][b]],
+            ),
+            "grading-not-direct": grading,
+        }
+    )
+    return laws
+
+
+def hlring_laws(raw) -> dict:
+    add, bullet, ra, la, s = raw.group.add, raw.bullet, raw.rarrow, raw.larrow, raw.sigma
+    rng = range(len(add))
+    cube = [rng, rng, rng]
+    laws = _ring_like_laws(add, bullet, "bullet")
+    laws.update(
+        {
+            "bullet-not-associative": (
+                cube,
+                lambda x, y, z: bullet[bullet[x][y]][z] == bullet[x][bullet[y][z]],
+            ),
+            "bullet-identity-fails": ([rng], lambda x: bullet[s][x] == x and bullet[x][s] == x),
+            "product-decomposition": (
+                [rng, rng],
+                lambda x, y: bullet[x][y]
+                == _minus(add, add[ra[x][y]][la[x][y]], ra[la[x][s]][y]),
+            ),
+            "strong-law-bullet-link": (
+                cube,
+                lambda x, y, z: bullet[ra[x][y]][z] == bullet[x][la[y][z]],
+            ),
+            "strong-law-rarrow": (cube, lambda x, y, z: ra[x][bullet[y][z]] == ra[ra[x][y]][z]),
+            "strong-law-larrow": (cube, lambda x, y, z: la[bullet[x][y]][z] == la[la[x][y]][z]),
+            "rarrow-not-associative": (cube, lambda x, y, z: ra[ra[x][y]][z] == ra[x][ra[y][z]]),
+            "larrow-not-associative": (cube, lambda x, y, z: la[la[x][y]][z] == la[x][la[y][z]]),
+        }
+    )
+    for name, table in (("rarrow", ra), ("larrow", la)):
+        laws.update(_ring_like_laws(add, table, name))
+    return laws
+
+
+def ring_laws(ring) -> dict:
+    add, mul, one = ring.group.add, ring.mul, ring.one
+    rng = range(len(add))
+    laws = _ring_like_laws(add, mul, "ring")
+    laws.update(
+        {
+            "ring-not-associative": (
+                [rng, rng, rng],
+                lambda x, y, z: mul[mul[x][y]][z] == mul[x][mul[y][z]],
+            ),
+            "ring-not-commutative": ([rng, rng], lambda x, y: mul[x][y] == mul[y][x]),
+            "ring-identity-fails": ([rng], lambda x: mul[one][x] == x),
+        }
+    )
+    return laws
+
+
+def witness_is_first(laws: dict, violation: Violation) -> bool:
+    """The clause fails at the witness and holds at every earlier tuple."""
+    domains, holds = laws[violation.code]
+    for t in itertools.product(*domains):
+        if t == violation.witness:
+            return not holds(*t)
+        if not holds(*t):
+            return False
+    return False
