@@ -23,6 +23,7 @@ from .kernel import (
     Table,
     _associative,
     _commutative,
+    _group_violations,
     _law_violations,
     _left_distributive,
     _right_distributive,
@@ -30,7 +31,6 @@ from .kernel import (
     element_orders,
     enumerate_subgroups,
     generating_sequence,
-    group_violations,
 )
 from .lcrng import (
     LcRng,
@@ -90,7 +90,7 @@ def comm_ring_violations(ring: FiniteCommRing) -> list[Violation]:
         raise InputError("table-shape-mismatch", "mul table does not match group order")
     if not (0 <= ring.one < n):
         raise InputError("identity-out-of-range", f"identity index {ring.one}")
-    out = group_violations(add)
+    out = _group_violations(add)
     if out:
         return out
     rng = range(n)
@@ -107,7 +107,7 @@ def comm_ring_violations(ring: FiniteCommRing) -> list[Violation]:
             lambda: (mul[ring.one], tuple(rng)),
         ),
     )
-    return _law_violations(laws)
+    return list(_law_violations(laws))
 
 
 def validate_comm_ring(ring: FiniteCommRing) -> FiniteCommRing:

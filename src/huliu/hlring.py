@@ -25,11 +25,11 @@ from .kernel import (
     _associative,
     _bracketed,
     _first_witness,
+    _group_violations,
     _law_violations,
     _left_distributive,
     _right_distributive,
     check_table_shape,
-    group_violations,
 )
 from .lcrng import LcRng, Metadata, induced_table
 
@@ -111,7 +111,7 @@ def hlring_violations(raw: RawHlRing) -> list[Violation]:
     if not (0 <= raw.sigma < n):
         raise InputError("identity-out-of-range", f"identity index {raw.sigma}")
 
-    out = group_violations(add)
+    out = _group_violations(add)
     if out:
         return out
     rng = range(n)
@@ -173,7 +173,7 @@ def hlring_violations(raw: RawHlRing) -> list[Violation]:
             _associative(la),
         ),
     )
-    return _law_violations(laws)
+    return list(_law_violations(laws))
 
 
 def validate_hlring(raw: RawHlRing) -> HlRing:

@@ -12,9 +12,17 @@ for # on the halo.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .errors import InputError, Violation
-from .kernel import Subset, format_subset, subset_key, enumerate_subgroups
+from .kernel import (
+    Law,
+    Subset,
+    Table,
+    _law_violations,
+    enumerate_subgroups,
+    format_subset,
+)
 from .lcrng import LcRng
 
 
@@ -37,42 +45,45 @@ class Spectrum:
         return [p.carrier for p in self.primes]
 
 
-def _subgroup_violation(structure: LcRng, subset: Subset) -> Violation | None:
+def _closed(code: str, message: str, domains: tuple, table: Table, target: Subset) -> Law:
+    """The law "table[x][y] lies in target", x and y the last two coordinates."""
+    ys = domains[-1]
+    everywhere = [True] * len(ys)
+
+    def row(*prefix: int) -> tuple:
+        return [table[prefix[-1]][y] in target for y in ys], everywhere
+
+    return Law(code, message, domains, row)
+
+
+def _has(code: str, message: str, v: int, subset: Subset) -> Law:
+    """The law "v lies in subset", with witness (v,)."""
+    return Law(code, message, ((v,),), lambda: ([v in subset], [True]))
+
+
+def _subgroup_laws(structure: LcRng, subset: Subset) -> tuple[Law, ...]:
     for i in subset:
         if not (0 <= i < structure.order):
             raise InputError("subset-out-of-range", f"index {i} not in carrier")
-    if 0 not in subset:
-        return Violation("not-a-subgroup", (0,), "subset misses the additive zero")
-    for a in sorted(subset):
-        for b in sorted(subset):
-            if structure.plus(a, b) not in subset:
-                return Violation("not-a-subgroup", (a, b), "subset not closed under +")
-    return None
+    pairs, add = (sorted(subset),) * 2, structure.group.add
+    return (
+        _has("not-a-subgroup", "subset misses the additive zero", 0, subset),
+        _closed("not-a-subgroup", "subset not closed under +", pairs, add, subset),
+    )
 
 
 def ideal_violation(structure: LcRng, subset: Subset) -> Violation | None:
     """None iff subset is an ideal; otherwise the violated clause + witness."""
-    bad = _subgroup_violation(structure, subset)
-    if bad is not None:
-        return bad
-    members = sorted(subset)
-    n = structure.order
-    for i in members:
-        row = structure.mul[i]
-        for r in range(n):
-            if row[r] not in subset:
-                return Violation("ideal-right-absorb", (i, r), "IR escapes the subset")
-    for r in range(n):
-        row = structure.mul[r]
-        for i in members:
-            if row[i] not in subset:
-                return Violation("ideal-left-absorb", (r, i), "RI escapes the subset")
-    halo_part = sorted(subset & structure.halo)
-    for s in halo_part:
-        for a in sorted(structure.halo):
-            if structure.local(s, a) not in subset:
-                return Violation("halo-ideal-absorb", (s, a), "halo part is not a #-ideal")
-    return None
+    members, rng = sorted(subset), structure.elements()
+    mul, loc = structure.mul, structure.local_mul
+    part, halo = sorted(subset & structure.halo), sorted(structure.halo)
+    laws = (
+        *_subgroup_laws(structure, subset),
+        _closed("ideal-right-absorb", "IR escapes the subset", (members, rng), mul, subset),
+        _closed("ideal-left-absorb", "RI escapes the subset", (rng, members), mul, subset),
+        _closed("halo-ideal-absorb", "halo part is not a #-ideal", (part, halo), loc, subset),
+    )
+    return next(_law_violations(laws), None)
 
 
 def is_ideal(structure: LcRng, subset: Subset) -> bool:
@@ -81,31 +92,23 @@ def is_ideal(structure: LcRng, subset: Subset) -> bool:
 
 def subrng_violation(structure: LcRng, subset: Subset, strict: bool = True) -> Violation | None:
     """None iff subset is a left commutative subrng (strict: local identity too)."""
-    bad = _subgroup_violation(structure, subset)
-    if bad is not None:
-        return bad
-    e = structure.left_identity
-    if e not in subset:
-        return Violation("missing-left-identity", (e,), "designated left identity not in subset")
-    members = sorted(subset)
-    for a in members:
-        for b in members:
-            if structure.times(a, b) not in subset:
-                return Violation("not-multiplicatively-closed", (a, b), "II escapes the subset")
-    halo_part = sorted(subset & structure.halo)
-    for a in halo_part:
-        for b in halo_part:
-            if structure.local(a, b) not in subset:
-                return Violation(
-                    "halo-not-multiplicatively-closed", (a, b), "halo part is not #-closed"
-                )
-    if strict and structure.local_identity not in subset:
-        return Violation(
+    pairs, halo_pairs = (sorted(subset),) * 2, (sorted(subset & structure.halo),) * 2
+    e, mul, loc = structure.left_identity, structure.mul, structure.local_mul
+    laws = (
+        *_subgroup_laws(structure, subset),
+        _has("missing-left-identity", "designated left identity not in subset", e, subset),
+        _closed("not-multiplicatively-closed", "II escapes the subset", pairs, mul, subset),
+        _closed(
+            "halo-not-multiplicatively-closed", "halo part is not #-closed", halo_pairs, loc, subset
+        ),
+        _has(
             "missing-local-identity",
-            (structure.local_identity,),
             "halo part does not contain the local identity (strict mode)",
-        )
-    return None
+            structure.local_identity,
+            subset,
+        ),
+    )
+    return next(_law_violations(laws if strict else laws[:-1]), None)
 
 
 def is_subrng(structure: LcRng, subset: Subset, strict: bool = True) -> bool:
@@ -145,39 +148,23 @@ def as_graded_ideal(
 
 
 def prime_violation(structure: LcRng, ideal: GradedIdeal) -> Violation | None:
-    """Direct test of the componentwise primality conditions."""
-    carrier = ideal.carrier
-    if len(carrier) == structure.order:
-        return Violation("prime-requires-proper", (), "the whole rng is never prime")
-    parts = (sorted(structure.r0), sorted(structure.halo))
-    comp_parts = (ideal.i0, ideal.i1)
-    mul = structure.mul
-    for eps in (0, 1):
-        for x0 in parts[0]:
-            if x0 in ideal.i0:
-                continue
-            row = mul[x0]
-            for y in parts[eps]:
-                if row[y] in carrier and y not in comp_parts[eps]:
-                    return Violation(
-                        "prime-product-condition",
-                        (eps, x0, y),
-                        "x0·y lands in the ideal with neither factor in its component",
-                    )
-    halo = sorted(structure.halo)
-    for x1 in halo:
-        if x1 in ideal.i1:
-            continue
-        for y1 in halo:
-            if y1 in ideal.i1:
-                continue
-            if structure.local(x1, y1) in ideal.i1:
-                return Violation(
-                    "prime-local-condition",
-                    (x1, y1),
-                    "x1#y1 lands in the halo part with neither factor in it",
-                )
-    return None
+    """Direct test of the componentwise primality conditions: products of factors
+    outside their components stay outside the ideal, #-products outside its halo part."""
+    outside0 = [x for x in sorted(structure.r0) if x not in ideal.i0]
+    outside1 = [x for x in sorted(structure.halo) if x not in ideal.i1]
+    everything, s, n = frozenset(structure.elements()), ideal.carrier, structure.order
+    mul, out, out1 = structure.mul, everything - ideal.carrier, everything - ideal.i1
+    product = "x0·y lands in the ideal with neither factor in its component"
+    local = "x1#y1 lands in the halo part with neither factor in it"
+    laws = (
+        Law(
+            "prime-requires-proper", "the whole rng is never prime", (), lambda: (len(s) < n, True)
+        ),
+        _closed("prime-product-condition", product, ((0,), outside0, outside0), mul, out),
+        _closed("prime-product-condition", product, ((1,), outside0, outside1), mul, out),
+        _closed("prime-local-condition", local, (outside1, outside1), structure.local_mul, out1),
+    )
+    return next(_law_violations(laws), None)
 
 
 def is_huliu_prime(structure: LcRng, ideal: GradedIdeal | Subset) -> bool:
@@ -218,18 +205,19 @@ def complement_closure_prime(structure: LcRng, ideal: GradedIdeal) -> bool:
 
 def enumerate_ideals(structure: LcRng) -> list[GradedIdeal]:
     """Every ideal, canonically ordered by size then membership."""
-    out = []
-    for subgroup in enumerate_subgroups(structure.group):
-        if ideal_violation(structure, subgroup) is None:
-            out.append(as_graded_ideal(structure, subgroup, kind="ideal"))
-    out.sort(key=lambda ideal: subset_key(ideal.carrier))
-    return out
+    return [
+        GradedIdeal(subgroup, *ideal_components(structure, subgroup), kind="ideal")
+        for subgroup in enumerate_subgroups(structure.group)
+        if ideal_violation(structure, subgroup) is None
+    ]
+
+
+def _primes_among(structure: LcRng, ideals: Iterable[GradedIdeal]) -> Spectrum:
+    """The Hu-Liu primes among ideals of the structure, in their order."""
+    primes = (replace(i, is_prime=True) for i in ideals if prime_violation(structure, i) is None)
+    return Spectrum(primes=tuple(primes))
 
 
 def spectrum(structure: LcRng) -> Spectrum:
     """All Hu-Liu prime ideals, deduplicated and canonically ordered."""
-    primes = []
-    for ideal in enumerate_ideals(structure):
-        if prime_violation(structure, ideal) is None:
-            primes.append(replace(ideal, is_prime=True))
-    return Spectrum(primes=tuple(primes))
+    return _primes_among(structure, enumerate_ideals(structure))

@@ -123,9 +123,9 @@ def _verify_component_ring(ring: ComponentRing) -> None:
         Law(code, "not associative at ({},{},{})", cube, associative),
         Law(code, "not distributive at ({},{},{})", cube, distributive),
     )
-    bad = _law_violations(laws)
-    if bad:
-        raise TheoremAlarm(code, f"{ring.label}: {bad[0].message}")
+    bad = next(_law_violations(laws), None)
+    if bad is not None:
+        raise TheoremAlarm(code, f"{ring.label}: {bad.message}")
 
 
 def _check_subring(ring: ComponentRing, subring: Subset, require_unital: bool) -> list[int]:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem, itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, ValidationFailure, Violation
 
@@ -116,17 +116,15 @@ def _first_witness(row: Row, domains: tuple[Sequence[int], ...]) -> tuple[int, .
     return None
 
 
-def _law_violations(laws: Iterable[Law]) -> list[Violation]:
-    """One violation per failed law, in table order."""
-    out: list[Violation] = []
+def _law_violations(laws: Iterable[Law]) -> Iterator[Violation]:
+    """One violation per failed law, in table order, each law scanned on demand."""
     failed: set[str] = set()
     for law in laws:
         if failed.isdisjoint(law.requires):
             witness = _first_witness(law.row, law.domains)
             if witness is not None:
-                out.append(Violation(law.code, witness, law.message.format(*witness)))
+                yield Violation(law.code, witness, law.message.format(*witness))
                 failed.add(law.code)
-    return out
 
 
 def _gathers(table: Table) -> list[Callable[[Sequence[int]], tuple[int, ...]]]:
@@ -178,7 +176,11 @@ def group_violations(add: Sequence[Sequence[int]]) -> list[Violation]:
 
     Each axiom scan stops at the first failing tuple in row-major order.
     """
-    t = check_table_shape(add)
+    return _group_violations(check_table_shape(add))
+
+
+def _group_violations(t: Table) -> list[Violation]:
+    """group_violations over a table that already passed check_table_shape."""
     rng = range(len(t))
     laws = (
         Law(
@@ -196,7 +198,7 @@ def group_violations(add: Sequence[Sequence[int]]) -> list[Violation]:
             lambda: ([0 in r for r in t], [True] * len(t)),
         ),
     )
-    return _law_violations(laws)
+    return list(_law_violations(laws))
 
 
 def validate_group(add: Sequence[Sequence[int]]) -> FiniteAbelianGroup:

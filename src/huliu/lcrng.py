@@ -20,11 +20,11 @@ from .kernel import (
     Subset,
     Table,
     _associative,
+    _group_violations,
     _law_violations,
     _left_distributive,
     _right_distributive,
     check_table_shape,
-    group_violations,
 )
 
 Metadata = tuple[tuple[str, object], ...]
@@ -133,17 +133,17 @@ LCRNG_CHECKS = (
 )
 
 
-def compute_halo(raw: RawLcRng) -> Subset:
-    e = raw.left_identity
-    return frozenset(x for x in range(raw.group.order) if raw.mul[x][e] == 0)
-
-
 def lcrng_violations(raw: RawLcRng) -> list[Violation]:
     """Every failed axiom (one violation per axiom, first witness each).
 
     Group axiom failures short-circuit the rest: sums and negations are
     meaningless over a broken addition table.
     """
+    return _checked(raw)[0]
+
+
+def _checked(raw: RawLcRng) -> tuple[list[Violation], LcRng | None]:
+    """lcrng_violations, and the structure they validate when there are none."""
     n = raw.group.order
     add = check_table_shape(raw.group.add)
     mul = check_table_shape(raw.mul)
@@ -156,14 +156,15 @@ def lcrng_violations(raw: RawLcRng) -> list[Violation]:
     if not (0 <= e < n):
         raise InputError("left-identity-out-of-range", f"designated left identity {e}")
 
-    out = group_violations(add)
+    out = _group_violations(add)
     if out:
-        return out
+        return out, None
     rng = range(n)
     ident = tuple(rng)
     halo = frozenset(x for x in rng if mul[x][e] == 0)
     hs = sorted(halo)
     r0 = frozenset(mul[x][e] for x in rng)
+    local_identity = next((c for c in hs if [loc[c][a] for a in hs] == hs), None)
     neg = raw.group.negation
     everywhere, on_halo = [True] * n, [True] * len(hs)
     cube, halo_pairs, halo_cube = (rng, rng, rng), (hs, hs), (hs, hs, hs)
@@ -201,7 +202,7 @@ def lcrng_violations(raw: RawLcRng) -> list[Violation]:
         return [loc[a][add[b][c]] for c in hs], [add[loc[a][b]][loc[a][c]] for c in hs]
 
     def has_local_identity() -> tuple:
-        return any([loc[c][a] for a in hs] == hs for c in hs), True
+        return local_identity is not None, True
 
     def triassociative(x: int, a: int) -> tuple:
         xa, la = mul[x][a], loc[a]
@@ -258,21 +259,10 @@ def lcrng_violations(raw: RawLcRng) -> list[Violation]:
             ("grading-not-direct",),
         ),
     )
-    return _law_violations(laws)
-
-
-def validate_lcrng(raw: RawLcRng) -> LcRng:
-    """Fully validated structure, or ValidationFailure with every failed axiom."""
-    violations = lcrng_violations(raw)
-    if violations:
-        raise ValidationFailure(violations)
-    n = raw.group.order
-    e = raw.left_identity
-    halo = compute_halo(raw)
-    hs = sorted(halo)
-    local_identity = next(c for c in hs if all(raw.local_mul[c][a] == a for a in hs))
-    r0 = frozenset(raw.mul[x][e] for x in range(n))
-    return LcRng(
+    out = list(_law_violations(laws))
+    if out:
+        return out, None
+    return out, LcRng(
         group=raw.group,
         mul=raw.mul,
         left_identity=e,
@@ -284,6 +274,14 @@ def validate_lcrng(raw: RawLcRng) -> LcRng:
         name=raw.name,
         metadata=raw.metadata,
     )
+
+
+def validate_lcrng(raw: RawLcRng) -> LcRng:
+    """Fully validated structure, or ValidationFailure with every failed axiom."""
+    violations, structure = _checked(raw)
+    if violations:
+        raise ValidationFailure(violations)
+    return structure
 
 
 def left_identities(structure: LcRng) -> Subset:

@@ -6,20 +6,24 @@ classical proof picks a maximal element of T = {ideals J of U with
 J ∩ R ⊆ p} by Zorn's Lemma; here the ideal lattice is finite, so maximal
 elements are found by exhaustive search and both proof targets — the
 maximal element meets R exactly in p, and it is prime — become runnable
-checks.  A missing witness would falsify the theorem and raises an alarm
+checks.  T-sets, witnesses and the primality of maximal elements are all
+read off one ambient ideal lattice and spectrum, built once and carried on
+the pair.  A missing witness would falsify the theorem and raises an alarm
 with a full diagnostic dump rather than a normal error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError, TheoremAlarm
 from .ideals import (
     GradedIdeal,
+    Spectrum,
+    _primes_among,
     as_graded_ideal,
     enumerate_ideals,
-    is_huliu_prime,
     prime_violation,
     spectrum,
     subrng_violation,
@@ -38,6 +42,16 @@ class SubrngPair:
     restricted: LcRng
     from_sub: tuple[int, ...]
     to_sub: tuple[int, ...]
+
+    @cached_property
+    def ambient_ideals(self) -> tuple[GradedIdeal, ...]:
+        """Every ideal of the ambient structure, canonically ordered."""
+        return tuple(enumerate_ideals(self.ambient))
+
+    @cached_property
+    def ambient_spectrum(self) -> Spectrum:
+        """The Hu-Liu primes of the ambient structure, filtered from its ideals."""
+        return _primes_among(self.ambient, self.ambient_ideals)
 
     def to_ambient(self, subset: Subset) -> Subset:
         return frozenset(self.from_sub[i] for i in subset)
@@ -156,17 +170,13 @@ def _require_prime(pair: SubrngPair, p: Subset) -> None:
 def t_set(pair: SubrngPair, p: Subset) -> list[GradedIdeal]:
     """All ideals J of the ambient structure with J ∩ R ⊆ p, canonically ordered."""
     _require_prime(pair, p)
-    return [j for j in enumerate_ideals(pair.ambient) if (j.carrier & pair.sub) <= p]
+    return [j for j in pair.ambient_ideals if (j.carrier & pair.sub) <= p]
 
 
 def maximal_in_t(pair: SubrngPair, p: Subset) -> list[GradedIdeal]:
     """Inclusion-maximal members of the T-set (the finite stand-in for Zorn)."""
     candidates = t_set(pair, p)
-    out = []
-    for j in candidates:
-        if not any(j is not k and j.carrier < k.carrier for k in candidates):
-            out.append(j)
-    return out
+    return [j for j in candidates if not any(j.carrier < k.carrier for k in candidates)]
 
 
 def lying_over(pair: SubrngPair, p: Subset) -> GradedIdeal:
@@ -177,16 +187,16 @@ def lying_over(pair: SubrngPair, p: Subset) -> GradedIdeal:
     witness on a valid pair contradicts the theorem, so it raises an alarm
     with a diagnostic dump instead of returning an error value.
     """
-    _require_prime(pair, p)
-    ambient_spectrum = spectrum(pair.ambient).primes
-    candidates = [q for q in ambient_spectrum if q.carrier & pair.sub == p]
-    for q in maximal_in_t(pair, p):
-        if q.carrier & pair.sub != p or not is_huliu_prime(pair.ambient, q):
+    maximal = maximal_in_t(pair, p)
+    primes = pair.ambient_spectrum.carriers()
+    for q in maximal:
+        if q.carrier & pair.sub != p or q.carrier not in primes:
             raise TheoremAlarm(
                 "maximal-element-failed",
                 f"maximal element {{{format_subset(q.carrier)}}} of T violates a proof target",
                 dump=_dump(pair, p),
             )
+    candidates = [q for q in pair.ambient_spectrum.primes if q.carrier & pair.sub == p]
     if not candidates:
         raise TheoremAlarm(
             "no-witness",
@@ -203,27 +213,24 @@ def _dump(pair: SubrngPair, p: Subset) -> str:
         f"ambient mul = {pair.ambient.mul}",
         f"ambient local_mul = {pair.ambient.local_mul}",
         "ambient spectrum = "
-        + "; ".join(format_subset(q.carrier) for q in spectrum(pair.ambient).primes),
+        + "; ".join(format_subset(q) for q in pair.ambient_spectrum.carriers()),
     ]
     return "\n".join(lines)
 
 
 def verify_lying_over_all(pair: SubrngPair) -> LyingOverReport:
     """One row per prime of the subrng; failures are recorded, never raised."""
-    ambient_spectrum = spectrum(pair.ambient).primes
+    primes = pair.ambient_spectrum.carriers()
     rows = []
     for p in sub_primes(pair):
-        witnesses = tuple(q.carrier for q in ambient_spectrum if q.carrier & pair.sub == p)
         maximal = maximal_in_t(pair, p)
-        meets = all(q.carrier & pair.sub == p for q in maximal)
-        all_prime = all(prime_violation(pair.ambient, q) is None for q in maximal)
         rows.append(
             LyingOverRow(
                 p=p,
-                witnesses=witnesses,
+                witnesses=tuple(q for q in primes if q & pair.sub == p),
                 maximal=tuple(q.carrier for q in maximal),
-                maximal_meets_p=meets,
-                maximal_all_prime=all_prime,
+                maximal_meets_p=all(q.carrier & pair.sub == p for q in maximal),
+                maximal_all_prime=all(q.carrier in primes for q in maximal),
             )
         )
     return LyingOverReport(rows=tuple(rows), passed=all(row.witnesses for row in rows))

@@ -373,3 +373,91 @@ def witness_is_first(laws: dict, violation: Violation) -> bool:
         if not holds(*t):
             return False
     return False
+
+
+# ------------------------------------------------------ subset clauses
+#
+# ideals.py reports only the first failed clause, and two of its codes
+# cover two clauses each, so these tables are ordered lists of
+# (code, domains, holds) over the whole carrier, with membership guards in
+# place of the library's filtered domains: filtering keeps row-major order.
+
+
+def subgroup_clauses(add, s) -> list:
+    rng = range(len(add))
+    return [
+        ("not-a-subgroup", [[0]], lambda z: z in s),
+        ("not-a-subgroup", [rng, rng], lambda a, b: a not in s or b not in s or add[a][b] in s),
+    ]
+
+
+def ideal_clauses(structure: LcRng, s) -> list:
+    mul, loc, halo = structure.mul, structure.local_mul, structure.halo
+    rng = range(structure.order)
+    return subgroup_clauses(structure.group.add, s) + [
+        ("ideal-right-absorb", [rng, rng], lambda i, r: i not in s or mul[i][r] in s),
+        ("ideal-left-absorb", [rng, rng], lambda r, i: i not in s or mul[r][i] in s),
+        (
+            "halo-ideal-absorb",
+            [rng, rng],
+            lambda i, a: i not in s or i not in halo or a not in halo or loc[i][a] in s,
+        ),
+    ]
+
+
+def subrng_clauses(structure: LcRng, s, strict: bool) -> list:
+    mul, loc, halo = structure.mul, structure.local_mul, structure.halo
+    rng = range(structure.order)
+    clauses = subgroup_clauses(structure.group.add, s) + [
+        ("missing-left-identity", [[structure.left_identity]], lambda e: e in s),
+        (
+            "not-multiplicatively-closed",
+            [rng, rng],
+            lambda a, b: a not in s or b not in s or mul[a][b] in s,
+        ),
+        (
+            "halo-not-multiplicatively-closed",
+            [rng, rng],
+            lambda a, b: not {a, b} <= s & halo or loc[a][b] in s,
+        ),
+    ]
+    if strict:
+        clauses.append(("missing-local-identity", [[structure.local_identity]], lambda u: u in s))
+    return clauses
+
+
+def prime_clauses(structure: LcRng, ideal) -> list:
+    """Primality of a graded ideal, read from its own components i0, i1."""
+    mul, loc = structure.mul, structure.local_mul
+    rng = range(structure.order)
+    s, i0, i1 = ideal.carrier, ideal.i0, ideal.i1
+    parts = {0: (structure.r0, i0), 1: (structure.halo, i1)}
+    return [
+        ("prime-requires-proper", [], lambda: len(s) < structure.order),
+        (
+            "prime-product-condition",
+            [[0, 1], rng, rng],
+            lambda eps, x, y: x not in structure.r0
+            or x in i0
+            or y not in parts[eps][0]
+            or y in parts[eps][1]
+            or mul[x][y] not in s,
+        ),
+        (
+            "prime-local-condition",
+            [rng, rng],
+            lambda x, y: not {x, y} <= structure.halo
+            or x in i1
+            or y in i1
+            or loc[x][y] not in i1,
+        ),
+    ]
+
+
+def first_failed_clause(clauses: list):
+    """The first clause, in order, that fails at some tuple; None if all hold."""
+    for clause in clauses:
+        _, domains, holds = clause
+        if not all(holds(*t) for t in itertools.product(*domains)):
+            return clause
+    return None

@@ -3,7 +3,9 @@
 Each edit changes one table entry of a catalog structure, of its bridge, or
 of a commutative ring.  Every reported violation must fail its law at the
 witness and no earlier row-major tuple may fail the same law; the codes must
-come out in the validator's check order.
+come out in the validator's check order.  The subset checks of ideals.py
+report only their first failed clause; they run on every subgroup and ideal
+of each structure and on seeded one-element edits of each ideal.
 """
 
 import random
@@ -14,19 +16,39 @@ import pytest
 from huliu import (
     SENTINEL,
     FiniteAbelianGroup,
+    GradedIdeal,
     comm_ring_violations,
+    enumerate_ideals,
+    enumerate_subgroups,
     from_lcrng,
     hlring_violations,
+    identity_hom,
+    ideal_violation,
     lcrng_violations,
+    ring_hom,
     ring_product,
+    semidirect_null,
+    subrng_violation,
+    validate_lcrng,
     zmod,
 )
 from huliu.constructions import RING_CHECKS
 from huliu.hlring import HLRING_CHECKS
+from huliu.ideals import prime_violation
 from huliu.kernel import GROUP_CHECKS
 from huliu.lcrng import LCRNG_CHECKS
 
-from oracles import group_laws, hlring_laws, lcrng_laws, ring_laws, witness_is_first
+from oracles import (
+    first_failed_clause,
+    group_laws,
+    hlring_laws,
+    ideal_clauses,
+    lcrng_laws,
+    prime_clauses,
+    ring_laws,
+    subrng_clauses,
+    witness_is_first,
+)
 
 EDITS = 40
 
@@ -96,3 +118,64 @@ def test_ring_witnesses_are_first(label):
         laws = {**group_laws(bad.group.add), **ring_laws(bad)}
         _check(violations, laws, RING_CHECKS, f"{label} {where}")
     assert failures
+
+
+def _subsets(structure, seed):
+    """Every subgroup and ideal, and seeded one-element edits of each ideal."""
+    rand = random.Random(seed)
+    subgroups = enumerate_subgroups(structure.group)
+    ideals = [ideal.carrier for ideal in enumerate_ideals(structure)]
+    edits = [t ^ {rand.randrange(structure.order)} for t in ideals for _ in range(4)]
+    return subgroups + ideals + edits
+
+
+def _check_first_clause(violation, clauses, where):
+    clause = first_failed_clause(clauses)
+    if clause is None:
+        assert violation is None, where
+        return
+    code, domains, holds = clause
+    assert violation is not None and violation.code == code, (where, violation, code)
+    assert len(violation.witness) == len(domains), (where, violation)
+    assert witness_is_first({code: (domains, holds)}, violation), (where, violation)
+
+
+def test_subset_witnesses_are_first(cat):
+    """The catalog plus two null rngs whose halo ring Z2xZ2 has subgroups that
+    are not ideals, so that the absorption and #-primality clauses fail too.
+    No input here reaches halo-not-multiplicatively-closed: that needs a halo
+    ring with an additive subgroup that is not #-closed, such as Z3xZ3."""
+    z2xz2 = ring_product(zmod(2), zmod(2))
+    structures = {
+        **cat,
+        "null(Z2,Z2xZ2)": validate_lcrng(
+            semidirect_null(zmod(2), z2xz2, ring_hom(zmod(2), z2xz2, [0, 3]))
+        ),
+        "null(Z2xZ2,Z2xZ2)": validate_lcrng(semidirect_null(z2xz2, z2xz2, identity_hom(z2xz2))),
+    }
+    codes = set()
+    for name, s in structures.items():
+        for t in _subsets(s, seed=f"subsets-{name}"):
+            ideal = GradedIdeal(t, t & s.r0, t & s.r1, "ideal")
+            checks = [
+                (ideal_violation(s, t), ideal_clauses(s, t)),
+                (subrng_violation(s, t), subrng_clauses(s, t, strict=True)),
+                (subrng_violation(s, t, strict=False), subrng_clauses(s, t, strict=False)),
+                (prime_violation(s, ideal), prime_clauses(s, ideal)),
+            ]
+            for violation, clauses in checks:
+                _check_first_clause(violation, clauses, f"{name} {{{sorted(t)}}}")
+                codes.add(violation and violation.code)
+    assert codes == {
+        None,
+        "not-a-subgroup",
+        "ideal-right-absorb",
+        "ideal-left-absorb",
+        "halo-ideal-absorb",
+        "missing-left-identity",
+        "not-multiplicatively-closed",
+        "missing-local-identity",
+        "prime-requires-proper",
+        "prime-product-condition",
+        "prime-local-condition",
+    }

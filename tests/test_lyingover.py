@@ -1,5 +1,6 @@
 import pytest
 
+import huliu.ideals
 from huliu import (
     InputError,
     complement_closure_prime,
@@ -132,3 +133,27 @@ def test_maximal_elements_satisfy_both_proof_targets(cat, u8):
                 assert complement_closure_prime(
                     pair.ambient, as_graded_ideal(pair.ambient, q.carrier)
                 )
+
+
+def test_each_pair_builds_one_ambient_and_one_restricted_lattice(pairs, monkeypatch):
+    built = []
+    enumerate_subgroups = huliu.ideals.enumerate_subgroups
+
+    def counted(group):
+        built.append(group)
+        return enumerate_subgroups(group)
+
+    monkeypatch.setattr(huliu.ideals, "enumerate_subgroups", counted)
+    for name, structure, sub in pairs:
+        pair = embed_check(structure, sub)
+        built.clear()
+        verify_lying_over_all(pair)
+        assert len(built) == 2, name
+        assert built[0] is pair.ambient.group and built[1] is pair.restricted.group, name
+
+        pair = embed_check(structure, sub)
+        primes = sub_primes(pair)
+        built.clear()
+        for p in primes:
+            lying_over(pair, p)
+        assert len(built) == 1 and built[0] is pair.ambient.group, name
