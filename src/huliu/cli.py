@@ -188,12 +188,11 @@ def _cmd_lying_over(args: argparse.Namespace) -> int:
     report = verify_lying_over_all(pair)
     rows = []
     for row in report.rows:
-        ok = bool(row.witnesses) and row.maximal_meets_p and row.maximal_all_prime
         rows.append(
             f"{format_subset(row.p)};"
             f"{'|'.join(format_subset(w) for w in row.witnesses)};"
             f"{'|'.join(format_subset(m) for m in row.maximal)};"
-            f"{'yes' if ok else 'no'}"
+            f"{'yes' if row.ok else 'no'}"
         )
     lines = [f"subrng = {format_subset(subset)}", f"{len(report.rows)} primes checked"]
     return _emit_report(

@@ -1,5 +1,7 @@
 """Finite abelian groups, operation tables, subset utilities, and the law
-scanner that every validator runs.
+scanner that every validator runs.  Subgroups are sums of cyclic subgroups:
+H + <x> = {h + k·x} is already a subgroup, so one multiples walk serves
+closure, the subgroup lattice, generator sequences and element orders.
 
 Elements are indices 0..n-1 and the additive zero is pinned to index 0,
 so subsets and witnesses are stable across tools and file round-trips.
@@ -209,29 +211,31 @@ def validate_group(add: Sequence[Sequence[int]]) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(order=len(table), add=table)
 
 
-def subgroup_closure(group: FiniteAbelianGroup, seed: Iterable[int]) -> Subset:
-    """Smallest subgroup containing the seed (idempotent, monotone)."""
-    members = {0}
-    frontier = [0]
-    for s in seed:
-        if not (0 <= s < group.order):
-            raise InputError("subset-out-of-range", f"index {s} not in carrier")
-        if s not in members:
-            members.add(s)
-            frontier.append(s)
+def _cyclic(group: FiniteAbelianGroup, x: int) -> Subset:
+    """The multiples of x: the cyclic subgroup it generates."""
+    if not (0 <= x < group.order):
+        raise InputError("subset-out-of-range", f"index {x} not in carrier")
+    multiples, y = [0], x
+    while y != 0:
+        multiples.append(y)
+        y = group.add[y][x]
+    return frozenset(multiples)
+
+
+def _sum(group: FiniteAbelianGroup, h: Subset, k: Subset) -> Subset:
+    """h + k = {a + b}, a subgroup whenever h and k are."""
     add = group.add
-    while frontier:
-        x = frontier.pop()
-        neg_x = group.neg(x)
-        if neg_x not in members:
-            members.add(neg_x)
-            frontier.append(neg_x)
-        for y in list(members):
-            z = add[x][y]
-            if z not in members:
-                members.add(z)
-                frontier.append(z)
-    return frozenset(members)
+    return frozenset(add[a][b] for a in h for b in k)
+
+
+def subgroup_closure(group: FiniteAbelianGroup, seed: Iterable[int]) -> Subset:
+    """Smallest subgroup containing the seed: the sum of the cyclic subgroups
+    of its elements (idempotent, monotone)."""
+    closed = frozenset({0})
+    for s in seed:
+        if s not in closed:
+            closed = _sum(group, closed, _cyclic(group, s))
+    return closed
 
 
 def subset_key(subset: Subset) -> tuple[int, tuple[int, ...]]:
@@ -258,21 +262,22 @@ def parse_subset(text: str, order: int | None = None) -> Subset:
 def enumerate_subgroups(group: FiniteAbelianGroup) -> list[Subset]:
     """All subgroups, each once, sorted by size then membership.
 
-    Works by closing generator sets rather than scanning all 2^n subsets;
-    the subset scan survives as the test oracle for small orders.
+    Grown as sums of cyclic subgroups, adding each one to every subgroup
+    found, rather than by scanning all 2^n subsets; the subset scan
+    survives as the test oracle for small orders.
     """
+    cyclics = {_cyclic(group, x) for x in group.elements()}
     trivial = frozenset({0})
     seen = {trivial}
     frontier = [trivial]
     while frontier:
         base = frontier.pop()
-        for x in range(group.order):
-            if x in base:
-                continue
-            bigger = subgroup_closure(group, base | {x})
-            if bigger not in seen:
-                seen.add(bigger)
-                frontier.append(bigger)
+        for c in cyclics:
+            if not c <= base:
+                bigger = _sum(group, base, c)
+                if bigger not in seen:
+                    seen.add(bigger)
+                    frontier.append(bigger)
     return sorted(seen, key=subset_key)
 
 
@@ -283,21 +288,14 @@ def generating_sequence(group: FiniteAbelianGroup, carrier: Subset) -> list[int]
     for x in sorted(carrier):
         if x not in closed:
             gens.append(x)
-            closed = subgroup_closure(group, closed | {x})
+            closed = _sum(group, closed, _cyclic(group, x))
     if closed != frozenset(carrier):
         raise InputError("not-a-subgroup", f"{format_subset(carrier)} is not a subgroup")
     return gens
 
 
 def element_orders(group: FiniteAbelianGroup) -> tuple[int, ...]:
-    orders = []
-    for x in group.elements():
-        k, acc = 1, x
-        while acc != 0:
-            acc = group.add[acc][x]
-            k += 1
-        orders.append(k)
-    return tuple(orders)
+    return tuple(len(_cyclic(group, x)) for x in group.elements())
 
 
 def direct_sum_group(orders: Sequence[int]) -> FiniteAbelianGroup:

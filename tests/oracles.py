@@ -1,9 +1,10 @@
 """Independent brute-force oracles.
 
 Everything here recomputes results straight from the defining conditions,
-scanning all subsets/tuples, so the library's cleverer routes (closure
-enumeration, grading-aware predicates, span-based witness search, the
-classification-based census) are checked against dumb exhaustive code.
+scanning all subsets/tuples, so the library's cleverer routes (subgroups
+as sums of cyclic subgroups, grading-aware predicates, span-based witness
+search, the classification-based census) are checked against dumb
+exhaustive code.
 """
 
 from __future__ import annotations

@@ -1,3 +1,6 @@
+from collections import Counter
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,7 @@ from huliu import (
     validate_group,
     zmod,
 )
-from huliu.kernel import group_violations, subset_key
+from huliu.kernel import element_orders, generating_sequence, group_violations, subset_key
 
 from oracles import brute_subgroups
 
@@ -74,7 +77,15 @@ GROUPS = [
     zmod(6).group,
     direct_sum_group([2, 4]),
     direct_sum_group([12]),
+    direct_sum_group([2, 2, 2]),
+    direct_sum_group([3, 3]),
 ]
+IDS = ["z4", "klein", "z6", "z2xz4", "z12", "z2xz2xz2", "z3xz3"]
+
+
+@cache
+def _brute_subgroups(gi):
+    return brute_subgroups(GROUPS[gi])
 
 
 @settings(deadline=None, max_examples=60)
@@ -84,6 +95,7 @@ def test_closure_is_idempotent_and_monotone(data, gi):
     seed = data.draw(st.frozensets(st.integers(0, g.order - 1), max_size=g.order))
     bigger = data.draw(st.frozensets(st.integers(0, g.order - 1), max_size=g.order))
     closed = subgroup_closure(g, seed)
+    assert closed == min((s for s in _brute_subgroups(gi) if seed <= s), key=len)
     assert subgroup_closure(g, closed) == closed
     assert closed <= subgroup_closure(g, seed | bigger)
 
@@ -98,7 +110,7 @@ def test_known_subgroup_lattices():
     assert len(enumerate_subgroups(direct_sum_group([2, 4]))) == 8
 
 
-@pytest.mark.parametrize("group", GROUPS, ids=["z4", "klein", "z6", "z2xz4", "z12"])
+@pytest.mark.parametrize("group", GROUPS, ids=IDS)
 def test_enumeration_matches_subset_scan_oracle(group):
     ours = enumerate_subgroups(group)
     assert ours == brute_subgroups(group)
@@ -109,3 +121,34 @@ def test_enumeration_matches_subset_scan_oracle(group):
 def test_canonical_ordering_is_size_then_membership():
     subs = enumerate_subgroups(validate_group(KLEIN))
     assert subs == sorted(subs, key=subset_key)
+
+
+@pytest.mark.parametrize("gi", range(len(GROUPS)), ids=IDS)
+def test_element_orders_and_generating_sequences(gi):
+    g = GROUPS[gi]
+    least = [min(k for k in range(1, g.order + 1) if g.sum([x] * k) == 0) for x in g.elements()]
+    assert element_orders(g) == tuple(least)
+    for s in _brute_subgroups(gi):
+        assert subgroup_closure(g, generating_sequence(g, s)) == s
+
+
+def _gaussian_binomial(n, k, q):
+    """Number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (2, 5), (3, 3)], ids=["z2^4", "z2^5", "z3^3"])
+def test_elementary_abelian_subgroup_counts(p, n):
+    g = direct_sum_group([p] * n)
+    subs = enumerate_subgroups(g)
+    sizes = Counter(len(s) for s in subs)
+    assert sizes == {p**k: _gaussian_binomial(n, k, p) for k in range(n + 1)}
+    assert len(set(subs)) == len(subs)
+    assert subs == sorted(subs, key=subset_key)
+    for s in subs:
+        assert 0 in s
+        assert all(g.add[a][b] in s for a in s for b in s)

@@ -1,8 +1,10 @@
 import pytest
 
 import huliu.ideals
+import huliu.lyingover
 from huliu import (
     InputError,
+    LyingOverRow,
     complement_closure_prime,
     as_graded_ideal,
     embed_check,
@@ -61,11 +63,35 @@ def test_maximal_in_t_examples(r4, u8):
         assert q.carrier & diag.sub == frozenset({0})
 
 
-def test_t_set_rejects_non_primes(r4):
-    pair = _identity_pair(r4)
-    with pytest.raises(InputError) as err:
-        t_set(pair, frozenset({0, 1}))
-    assert err.value.code == "p-not-prime"
+def test_t_set_rejects_non_primes(r4, u8):
+    identity = _identity_pair(r4)
+    diag = embed_check(u8, frozenset({0, 3, 4, 7}))
+    for pair, p, message in (
+        (identity, frozenset({0, 1}), "p is not an ideal of the subrng"),
+        (identity, frozenset(range(r4.order)), "p is not Hu-Liu prime in the subrng"),
+        (diag, frozenset({0, 1}), "p is not contained in the subrng"),
+    ):
+        with pytest.raises(InputError) as err:
+            t_set(pair, p)
+        assert err.value.code == "p-not-prime"
+        assert message in str(err.value)
+
+
+def test_primes_of_the_subrng_are_not_proved_again(pairs, monkeypatch):
+    calls = []
+    as_graded_ideal = huliu.lyingover.as_graded_ideal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return as_graded_ideal(*args, **kwargs)
+
+    monkeypatch.setattr(huliu.lyingover, "as_graded_ideal", counted)
+    for name, structure, sub in pairs:
+        pair = embed_check(structure, sub)
+        verify_lying_over_all(pair)
+        for p in sub_primes(pair):
+            lying_over(pair, p)
+        assert calls == [], name
 
 
 def test_lying_over_identity_pairs(r4, r8):
@@ -104,6 +130,24 @@ def test_report_rows_for_identity_pairs(r4, r8):
     ]
     rep8 = verify_lying_over_all(_identity_pair(r8))
     assert rep8.passed and len(rep8.rows) == 2
+
+
+def test_row_verdict_needs_a_witness_and_both_proof_targets():
+    p = frozenset({0})
+    assert LyingOverRow(p, (p,), (p,), True, True).ok
+    assert not LyingOverRow(p, (), (p,), True, True).ok
+    assert not LyingOverRow(p, (p,), (p,), False, True).ok
+    assert not LyingOverRow(p, (p,), (p,), True, False).ok
+
+
+def test_report_fails_when_a_maximal_element_misses_a_proof_target(r4, monkeypatch):
+    pair = _identity_pair(r4)
+    whole = pair.ambient_ideals[-1]
+    monkeypatch.setattr(huliu.lyingover, "maximal_in_t", lambda pair, p: [whole])
+    report = verify_lying_over_all(pair)
+    assert all(row.witnesses for row in report.rows)
+    assert not any(row.ok for row in report.rows)
+    assert not report.passed
 
 
 def test_report_rows_for_diagonal_pair(u8):
