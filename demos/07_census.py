@@ -1,6 +1,7 @@
 # Empirical census: which abelian groups carry any structure at all?
 # Cyclic groups of prime-power order never decompose, so they carry none;
-# the Klein four-group carries exactly one up to isomorphism.
+# the Klein four-group carries exactly one up to isomorphism, and so does
+# Z4xZ4: the null left action of Z4 on itself through the identity.
 
 from huliu import catalog, direct_sum_group, enumerate_lcrngs, lcrng_isomorphic, zmod
 
@@ -10,6 +11,7 @@ for label, group in [
     ("Z6", zmod(6).group),
     ("Z2xZ2", direct_sum_group([2, 2])),
     ("Z2xZ4", direct_sum_group([2, 4])),
+    ("Z4xZ4", direct_sum_group([4, 4])),
 ]:
     census = enumerate_lcrngs(group)
     raw = enumerate_lcrngs(group, dedup=False)

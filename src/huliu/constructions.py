@@ -5,13 +5,17 @@ with (a,b)·(a',b') = (a·a', φ(a)#b') for commutative unital rings A, B (B
 nonzero) and a unital hom φ: A → B.  The census enumerates all structures
 on a given abelian group by enumerating decompositions, component ring
 structures, and homs — the parametrization the axioms force — and
-re-validates every result exhaustively.
+re-validates every result exhaustively.  A ring structure on a subgroup is
+searched as commuting additive maps x ↦ x·g, one per generator, checked on
+generators only; each subgroup's rings are found once per census, and the
+zero subgroup is never a component A (φ(1) = φ(0) = 0 is not 1_B).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Sequence
 
 from .errors import InputError, TheoremAlarm, ValidationFailure, Violation
@@ -275,60 +279,60 @@ def _expressions(group: FiniteAbelianGroup, gens: list[int]) -> dict[int, list[i
     return expr
 
 
+def _additive_maps(
+    group: FiniteAbelianGroup, gens: list[int], targets: Sequence[int]
+) -> Iterator[dict[int, int]]:
+    """Additive maps from the subgroup the generators span, with generator
+    images drawn from targets, in lexicographic order of those images.  A map
+    is additive once h(x + g) = h(x) + h(g) for every x and every generator
+    g: by induction along sums of generators."""
+    expr = _expressions(group, gens)
+    add = group.add
+    for images in itertools.product(targets, repeat=len(gens)):
+        h = {x: group.sum(images[i] for i in e) for x, e in expr.items()}
+        if all(h[add[x][g]] == add[h[x]][v] for g, v in zip(gens, images) for x in expr):
+            yield h
+
+
 def _ring_structures(
     group: FiniteAbelianGroup, carrier: Subset
 ) -> Iterator[tuple[dict[tuple[int, int], int], int]]:
     """All commutative unital ring structures on a subgroup, as (table, one).
 
-    Products are additive in each argument, so they are determined by the
-    generator-pair values; every candidate is then checked for bilinearity,
-    associativity, and an identity.
+    A product additive in each argument is fixed by the additive maps
+    hⱼ = (-)·gⱼ, one per generator, with hⱼ(gᵢ) = hᵢ(gⱼ) = gᵢgⱼ, so that
+    constant has an order dividing gcd(ord gᵢ, ord gⱼ).  Both bracketings of
+    a triple product are trilinear, so associativity is hᵢ∘hⱼ = hⱼ∘hᵢ on
+    generators, and the identity is the first e with hⱼ(e) = gⱼ for every j.
+    hⱼ is chosen after h₀..hⱼ₋₁, which fix its first j images, so structures
+    come in lexicographic order of their constants gᵢgⱼ, i ≤ j, row by row.
     """
     members = sorted(carrier)
     gens = generating_sequence(group, carrier)
     expr = _expressions(group, gens)
-    add = group.add
     k = len(gens)
-    pair_index = [(i, j) for i in range(k) for j in range(i, k)]
+    # additive maps by their first j generator images, each list in lexicographic order
+    by_prefix: dict[tuple[int, ...], list[dict[int, int]]] = {}
+    for h in _additive_maps(group, gens, members):
+        for j in range(k):
+            by_prefix.setdefault(tuple(h[g] for g in gens[:j]), []).append(h)
 
-    for values in itertools.product(members, repeat=len(pair_index)):
-        gen_prod = {}
-        for (i, j), v in zip(pair_index, values):
-            gen_prod[(i, j)] = v
-            gen_prod[(j, i)] = v
-        table: dict[tuple[int, int], int] = {}
-        for x in members:
-            px = expr[x]
-            for y in members:
-                acc = 0
-                for gi in px:
-                    for gj in expr[y]:
-                        acc = add[acc][gen_prod[(gi, gj)]]
-                table[(x, y)] = acc
-        ok = all(table[(x, y)] in carrier for x in members for y in members)
-        if not ok:
-            continue
-        ok = all(
-            table[(add[x][y], z)] == add[table[(x, z)]][table[(y, z)]]
-            and table[(x, add[y][z])] == add[table[(x, y)]][table[(x, z)]]
-            for x in members
-            for y in members
-            for z in members
-        )
-        if not ok:
-            continue
-        ok = all(
-            table[(table[(x, y)], z)] == table[(x, table[(y, z)])]
-            for x in members
-            for y in members
-            for z in members
-        )
-        if not ok:
-            continue
-        one = next((e for e in members if all(table[(e, x)] == x for x in members)), None)
-        if one is None:
-            continue
-        yield table, one
+    def extend(maps: list[dict[int, int]]) -> Iterator[list[dict[int, int]]]:
+        if len(maps) == k:
+            yield maps
+            return
+        g = gens[len(maps)]
+        for h in by_prefix.get(tuple(m[g] for m in maps), []):
+            if all(h[m[x]] == m[h[x]] for m in maps for x in gens):
+                yield from extend(maps + [h])
+
+    for maps in extend([]):
+        one = next((e for e in members if all(h[e] == g for h, g in zip(maps, gens))), None)
+        if one is not None:
+            table = {
+                (x, y): group.sum(maps[j][x] for j in expr[y]) for x in members for y in members
+            }
+            yield table, one
 
 
 def _hom_maps(
@@ -340,28 +344,16 @@ def _hom_maps(
     b_one: int,
     b_carrier: Subset,
 ) -> Iterator[dict[int, int]]:
-    """All unital ring homs between subgroup rings living inside one group."""
-    members_a = sorted(a_carrier)
+    """All unital ring homs between subgroup rings living inside one group.
+
+    Both products are bilinear, so an additive map is multiplicative once it
+    is on generator pairs."""
     gens = generating_sequence(group, a_carrier)
-    expr = _expressions(group, gens)
-    add = group.add
-    for images in itertools.product(sorted(b_carrier), repeat=len(gens)):
-        phi = {}
-        for x in members_a:
-            acc = 0
-            for gi in expr[x]:
-                acc = add[acc][images[gi]]
-            phi[x] = acc
-        if phi[a_one] != b_one:
-            continue
-        if any(
-            phi.get(add[x][y]) != add[phi[x]][phi[y]]
-            or phi.get(a_table[(x, y)]) != b_table[(phi[x], phi[y])]
-            for x in members_a
-            for y in members_a
+    for phi in _additive_maps(group, gens, sorted(b_carrier)):
+        if phi[a_one] == b_one and all(
+            phi[a_table[(g, h)]] == b_table[(phi[g], phi[h])] for g in gens for h in gens
         ):
-            continue
-        yield phi
+            yield phi
 
 
 def enumerate_lcrngs(
@@ -378,8 +370,11 @@ def enumerate_lcrngs(
         return []
 
     subgroups = enumerate_subgroups(group)
+    ring_structures = cache(lambda carrier: list(_ring_structures(group, carrier)))
     found: list[LcRng] = []
     for a_carrier in subgroups:
+        if len(a_carrier) < 2:
+            continue  # phi(1_A) = phi(0) = 0 is never 1_B
         for b_carrier in subgroups:
             if len(b_carrier) < 2:
                 continue
@@ -387,8 +382,8 @@ def enumerate_lcrngs(
                 continue
             if len(a_carrier) * len(b_carrier) != n:
                 continue
-            for a_table, a_one in _ring_structures(group, a_carrier):
-                for b_table, b_one in _ring_structures(group, b_carrier):
+            for a_table, a_one in ring_structures(a_carrier):
+                for b_table, b_one in ring_structures(b_carrier):
                     for phi in _hom_maps(
                         group, a_table, a_one, a_carrier, b_table, b_one, b_carrier
                     ):

@@ -55,7 +55,10 @@ class SubrngPair:
 
     @cached_property
     def sub_spectrum(self) -> Spectrum:
-        """The Hu-Liu primes of the subrng, in restricted indices."""
+        """The Hu-Liu primes of the subrng, in restricted indices; for the whole
+        carrier these are the ambient indices, so the ambient spectrum is reused."""
+        if len(self.sub) == self.ambient.order:
+            return self.ambient_spectrum
         return spectrum(self.restricted)
 
     def to_ambient(self, subset: Subset) -> Subset:

@@ -19,7 +19,7 @@ from huliu import (
     RawLcRng,
     Violation,
 )
-from huliu.kernel import subset_key
+from huliu.kernel import generating_sequence, subset_key
 
 
 def brute_subgroups(group: FiniteAbelianGroup) -> list[frozenset[int]]:
@@ -462,3 +462,72 @@ def first_failed_clause(clauses: list):
         if not all(holds(*t) for t in itertools.product(*domains)):
             return clause
     return None
+
+
+# ------------------------------------------------------ census rings
+
+
+def brute_ring_structures(group: FiniteAbelianGroup, carrier):
+    """Every commutative unital ring structure on a subgroup, as (table, one).
+
+    Every member is tried for every generator-pair product; the expanded
+    table must be additive in both arguments and associative on all triples
+    (O(n³) each) and have an identity.  Candidates come in lexicographic
+    order of the products gᵢgⱼ, i ≤ j, row by row.
+    """
+    members = sorted(carrier)
+    gens = generating_sequence(group, carrier)
+    add = group.add
+    expr = {0: []}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop(0)
+        for gi, g in enumerate(gens):
+            y = add[x][g]
+            if y not in expr:
+                expr[y] = expr[x] + [gi]
+                frontier.append(y)
+    k = len(gens)
+    pair_index = [(i, j) for i in range(k) for j in range(i, k)]
+
+    for values in itertools.product(members, repeat=len(pair_index)):
+        gen_prod = {}
+        for (i, j), v in zip(pair_index, values):
+            gen_prod[(i, j)] = v
+            gen_prod[(j, i)] = v
+        table = {}
+        for x in members:
+            for y in members:
+                acc = 0
+                for gi in expr[x]:
+                    for gj in expr[y]:
+                        acc = add[acc][gen_prod[(gi, gj)]]
+                table[(x, y)] = acc
+        if not is_ring_table(group, carrier, table):
+            continue
+        one = next((e for e in members if all(table[(e, x)] == x for x in members)), None)
+        if one is not None:
+            yield table, one
+
+
+def is_ring_table(group: FiniteAbelianGroup, carrier, table) -> bool:
+    """The table is closed, additive in both arguments and associative,
+    checked on every pair and triple of the carrier."""
+    add = group.add
+    members = sorted(carrier)
+    return (
+        all(table[(x, y)] in carrier for x in members for y in members)
+        and all(
+            table[(add[x][y], z)] == add[table[(x, z)]][table[(y, z)]]
+            and table[(x, add[y][z])] == add[table[(x, y)]][table[(x, z)]]
+            for x in members
+            for y in members
+            for z in members
+        )
+        and all(
+            table[(table[(x, y)], z)] == table[(x, table[(y, z)])]
+            for x in members
+            for y in members
+            for z in members
+        )
+    )

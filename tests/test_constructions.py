@@ -7,11 +7,13 @@ from huliu import (
     RawLcRng,
     SENTINEL,
     direct_sum_group,
+    emit_structure,
     enumerate_lcrngs,
     identity_hom,
     lcrng_isomorphic,
     lcrng_violations,
     left_identities,
+    parse_structure,
     projection_hom,
     reduction_hom,
     ring_hom,
@@ -20,7 +22,9 @@ from huliu import (
     validate_comm_ring,
     zmod,
 )
-from huliu.kernel import generating_sequence
+from huliu.constructions import _ring_structures
+from huliu.kernel import enumerate_subgroups, generating_sequence
+from oracles import brute_ring_structures, is_ring_table
 
 
 def test_zmod_values():
@@ -153,6 +157,80 @@ def test_census_klein_contains_r4(cat):
     census = enumerate_lcrngs(direct_sum_group([2, 2]))
     assert len(census) == 1
     assert lcrng_isomorphic(census[0], cat["r4"])
+
+
+# Iso classes are the triples (A, B, phi) up to isomorphism: A a unital ring,
+# B a nonzero ring, phi: A -> B a unital hom, A + B the group; B is the halo.
+# A unital ring on a cyclic group is Z_n, and phi(1) = 1 needs char B | char A.
+# A cyclic group only splits into summands of coprime orders, where
+# char B | char A leaves B = 0, so it carries nothing.  The others: Z2xZ2 (Z2, Z2, id), Z2xZ4 (Z4, Z2, mod 2), Z3xZ3
+# (Z3, Z3, id), Z2xZ6 and Z2xZ2xZ3 (Z6, Z2, mod 2), Z2xZ8 (Z8, Z2, mod 2),
+# Z4xZ4 (Z4, Z4, id); Z3xZ5 is cyclic.
+CENSUS = {(n,): (0, []) for n in range(1, 17)}
+CENSUS.update(
+    {
+        (2, 2): (1, [2]),
+        (2, 4): (1, [2]),
+        (3, 3): (1, [3]),
+        (2, 6): (1, [2]),
+        (2, 8): (1, [2]),
+        (3, 5): (0, []),
+        (4, 4): (1, [4]),
+        (2, 2, 3): (1, [2]),
+    }
+)
+
+
+def _spec(orders):
+    return "x".join(map(str, orders))
+
+
+@pytest.mark.parametrize("orders", list(CENSUS), ids=_spec)
+def test_census_counts_match_the_splitting_triples(orders):
+    count, halo_orders = CENSUS[orders]
+    census = enumerate_lcrngs(direct_sum_group(orders))
+    assert len(census) == count
+    assert sorted(len(s.halo) for s in census) == halo_orders
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 6)], ids=_spec)
+def test_ring_structures_match_the_full_check_oracle(orders):
+    group = direct_sum_group(orders)
+    carriers = enumerate_subgroups(group)
+    if orders == (2, 2, 2):
+        carriers = carriers[:-1]  # the whole Z2^3: test_ring_structures_on_the_whole_z2_cubed
+    for carrier in carriers:
+        assert list(_ring_structures(group, carrier)) == list(
+            brute_ring_structures(group, carrier)
+        ), sorted(carrier)
+
+
+def test_ring_structures_on_the_whole_z2_cubed():
+    """The one carrier in reach with three generators, and so the one where
+    associativity does not follow from commutativity and an identity.  The
+    oracle's 8^6 candidates take minutes, so each structure is checked on
+    its own; the oracle, run once, found the same 448."""
+    group = direct_sum_group([2, 2, 2])
+    carrier = frozenset(range(8))
+    gens = generating_sequence(group, carrier)
+    found = list(_ring_structures(group, carrier))
+    assert len(found) == 448
+    constants = [tuple(t[(g, h)] for i, g in enumerate(gens) for h in gens[i:]) for t, _ in found]
+    assert constants == sorted(set(constants))
+    for table, one in found:
+        assert is_ring_table(group, carrier, table)
+        assert all(table[(x, y)] == table[(y, x)] for x in carrier for y in carrier)
+        assert all(table[(one, x)] == x for x in carrier)
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (2, 4), (2, 2, 2), (3, 3)], ids=_spec)
+def test_census_structures_round_trip_through_files(orders):
+    census = enumerate_lcrngs(direct_sum_group(orders), dedup=False)
+    assert census
+    for s in census:
+        text = emit_structure(s)
+        assert parse_structure(text) == s.raw()
+        assert emit_structure(parse_structure(text)) == text
 
 
 def test_census_results_are_pairwise_non_isomorphic():
