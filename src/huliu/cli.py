@@ -10,6 +10,8 @@ subsets in a list field.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -200,23 +202,32 @@ def _cmd_lying_over(args: argparse.Namespace) -> int:
     )
 
 
-def _ring_from_spec(spec: str) -> FiniteCommRing:
+def _spec_orders(spec: str) -> list[int]:
     if not spec.startswith("zmod:"):
         raise InputError("bad-ring-spec", f"expected zmod:N or zmod:NxM..., got {spec!r}")
     try:
         orders = [int(p) for p in spec.split(":", 1)[1].split("x")]
     except ValueError as exc:
         raise InputError("bad-ring-spec", f"cannot parse {spec!r}") from exc
-    rings = [zmod(n) for n in orders]
-    ring = rings[0]
-    for other in rings[1:]:
-        ring = ring_product(ring, other)
-    return ring
+    for n in orders:
+        if n < 1:
+            raise InputError("bad-order", f"zmod needs n >= 1, got {n}")
+    return orders
+
+
+def _rings_from_specs(specs: Sequence[str], cap: int, what: str) -> list[FiniteCommRing]:
+    """The rings zmod:N or zmod:NxM... (products of cyclic rings).  The
+    product of all their orders must not pass cap; that is checked before
+    any table is built, since building one is quadratic in its order."""
+    parsed = [_spec_orders(spec) for spec in specs]
+    total = math.prod(n for orders in parsed for n in orders)
+    if total > cap:
+        raise InputError("order-too-large", f"{what} is capped at order {cap}, got {total}")
+    return [functools.reduce(ring_product, map(zmod, orders)) for orders in parsed]
 
 
 def _resolve_hom(a_spec: str, b_spec: str, hom: str):
-    a = _ring_from_spec(a_spec)
-    b = _ring_from_spec(b_spec)
+    a, b = _rings_from_specs([a_spec, b_spec], 64, "construct")
     a_orders = a_spec.split(":", 1)[1].split("x")
     if hom == "auto":
         hom = "reduction" if len(a_orders) == 1 else ""
@@ -251,7 +262,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    group = _ring_from_spec(args.group).group
+    (ring,) = _rings_from_specs([args.group], 16, "census")
+    group = ring.group
     structures = enumerate_lcrngs(
         group, max_candidates=args.max_candidates, dedup=not args.no_dedup
     )

@@ -9,14 +9,23 @@ re-validates every result exhaustively.  A ring structure on a subgroup is
 searched as commuting additive maps x ↦ x·g, one per generator, checked on
 generators only; each subgroup's rings are found once per census, and the
 zero subgroup is never a component A (φ(1) = φ(0) = 0 is not 1_B).
+
+A structure is fixed up to isomorphism by its splitting triple (A = R0
+under ·, B = the halo under #, φ), and two structures are isomorphic
+exactly when their triples are.  So the census up to isomorphism gives each
+triple a canonical key before assembling it: the least structure-constant
+tables of A and B over the ordered primary bases of their carriers, and the
+least coordinate form of φ over the bases that reach those tables.  Only a
+triple with a new key is assembled and validated; `lcrng_isomorphic`, the
+brute-force search over additive bijections, is kept as the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
-from typing import Iterator, Sequence
+from functools import cache, cached_property
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError, TheoremAlarm, ValidationFailure, Violation
 from .kernel import (
@@ -27,10 +36,12 @@ from .kernel import (
     Table,
     _associative,
     _commutative,
+    _cyclic,
     _group_violations,
     _law_violations,
     _left_distributive,
     _right_distributive,
+    _sum,
     check_table_shape,
     element_orders,
     enumerate_subgroups,
@@ -356,13 +367,142 @@ def _hom_maps(
             yield phi
 
 
+def _is_prime_power(q: int) -> bool:
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def _primary_bases(
+    group: FiniteAbelianGroup, carrier: Subset, orders: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Every ordered primary basis of a subgroup: elements of prime-power
+    order, orders ascending, whose cyclic subgroups sum directly to it."""
+    members = [x for x in sorted(carrier) if x and _is_prime_power(orders[x])]
+    bases: list[tuple[int, ...]] = []
+
+    def grow(basis: tuple[int, ...], span: Subset) -> None:
+        if len(span) == len(carrier):
+            bases.append(basis)
+            return
+        least = orders[basis[-1]] if basis else 2
+        for x in members:
+            if orders[x] >= least:
+                bigger = _sum(group, span, _cyclic(group, x))
+                if len(bigger) == len(span) * orders[x]:
+                    grow(basis + (x,), bigger)
+
+    grow((), frozenset({0}))
+    return bases
+
+
+Coordinates = dict[int, tuple[int, ...]]
+
+
+def _constants(
+    table: dict[tuple[int, int], int], basis: tuple[int, ...], coords: Coordinates
+) -> tuple[tuple[int, ...], ...]:
+    """The products b_i·b_j, i ≤ j, in the basis's coordinates."""
+    return tuple(coords[table[(x, y)]] for i, x in enumerate(basis) for y in basis[i:])
+
+
+class _RingKey(NamedTuple):
+    """A ring's canonical key, and the coordinates of each basis that reaches it."""
+
+    key: tuple
+    bases: dict[tuple[int, ...], Coordinates]
+
+
+class _TripleKeys:
+    """Canonical keys of splitting triples (A, B, φ) on one group.
+
+    A ring's key is the orders of an ordered primary basis b of its carrier
+    (prime-power orders, ascending) and its least structure-constant table,
+    the products b_i·b_j for i ≤ j in b-coordinates, over all such bases.
+    The bases that reach that table differ by ring automorphisms.  A
+    triple's key adds the least coordinate form of φ, the φ(a_i) in
+    b-coordinates, over those bases a of A and b of B.  Two triples get one
+    key exactly when they are isomorphic through ring isomorphisms α, β
+    with φ′∘α = β∘φ.  A least table is found once per ring up to relabeling:
+    it is cached by the ring's constants over its carrier's first basis.
+    """
+
+    def __init__(self, group: FiniteAbelianGroup):
+        self.group = group
+        # carrier -> coordinates of each of its bases, the reference basis first
+        self.frames: dict[Subset, dict[tuple[int, ...], Coordinates]] = {}
+        # (orders, reference constants) -> (least table, its bases in reference coordinates)
+        self.tables: dict[tuple, tuple[tuple, list[tuple[tuple[int, ...], ...]]]] = {}
+        self.rings: dict[tuple[Subset, int], _RingKey] = {}
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        return element_orders(self.group)
+
+    def _coordinates(self, basis: tuple[int, ...]) -> Coordinates:
+        """Each element of the basis's span as its coefficient tuple."""
+        add = self.group.add
+        coords: Coordinates = {0: ()}
+        for b in basis:
+            multiples = [0]
+            for _ in range(self.orders[b] - 1):
+                multiples.append(add[multiples[-1]][b])
+            coords = {
+                add[x][m]: c + (k,) for x, c in coords.items() for k, m in enumerate(multiples)
+            }
+        return coords
+
+    def ring(self, carrier: Subset, index: int, table: dict[tuple[int, int], int]) -> _RingKey:
+        """The key of the index-th ring structure on a carrier, whose table is given."""
+        found = self.rings.get((carrier, index))
+        if found is None:
+            if carrier not in self.frames:
+                self.frames[carrier] = {
+                    b: self._coordinates(b)
+                    for b in _primary_bases(self.group, carrier, self.orders)
+                }
+            frame = self.frames[carrier]
+            ref, ref_coords = next(iter(frame.items()))
+            orders = tuple(self.orders[x] for x in ref)
+            constants = _constants(table, ref, ref_coords)
+            if (orders, constants) not in self.tables:
+                forms = {b: _constants(table, b, c) for b, c in frame.items()}
+                least = min(forms.values())
+                reaching = [tuple(ref_coords[x] for x in b) for b, f in forms.items() if f == least]
+                self.tables[(orders, constants)] = (least, reaching)
+            least, reaching = self.tables[(orders, constants)]
+            point = {c: x for x, c in ref_coords.items()}
+            bases = [tuple(point[c] for c in b) for b in reaching]
+            found = _RingKey((orders, least), {b: frame[b] for b in bases})
+            self.rings[(carrier, index)] = found
+        return found
+
+    @staticmethod
+    def triple(a: _RingKey, b: _RingKey, phi: dict[int, int]) -> tuple:
+        form = min(
+            tuple(coords[phi[x]] for x in basis) for basis in a.bases for coords in b.bases.values()
+        )
+        return a.key, b.key, form
+
+
 def enumerate_lcrngs(
     group: FiniteAbelianGroup,
     max_candidates: int | None = None,
     dedup: bool = True,
 ) -> list[LcRng]:
     """Census of all structures on a group (order <= 16), optionally up to
-    isomorphism by permutations fixing 0 and respecting left identities."""
+    isomorphism by permutations fixing 0 and respecting left identities.
+
+    Each candidate is a splitting triple (A, B, φ) on complementary
+    subgroups, found in a fixed order; `max_candidates` stops after that
+    many triples.  Without dedup every triple is assembled and validated.
+    With dedup only a triple whose canonical key (`_TripleKeys`) is new is,
+    so each class keeps its first-found triple.  Keys are computed once the
+    census has found a φ, and a (ring of A, ring of B) pair whose two ring
+    keys have already run in full is skipped with the number of homs that
+    run counted: isomorphic pairs have as many homs and no new keys.
+    """
     n = group.order
     if n > 16:
         raise InputError("order-too-large", f"census is capped at order 16, got {n}")
@@ -371,7 +511,11 @@ def enumerate_lcrngs(
 
     subgroups = enumerate_subgroups(group)
     ring_structures = cache(lambda carrier: list(_ring_structures(group, carrier)))
+    keys = _TripleKeys(group)
+    seen: set[tuple] = set()
+    runs: dict[tuple, int] = {}  # (key of A, key of B) -> homs of a pair run in full
     found: list[LcRng] = []
+    count = 0
     for a_carrier in subgroups:
         if len(a_carrier) < 2:
             continue  # phi(1_A) = phi(0) = 0 is never 1_B
@@ -382,19 +526,46 @@ def enumerate_lcrngs(
                 continue
             if len(a_carrier) * len(b_carrier) != n:
                 continue
-            for a_table, a_one in ring_structures(a_carrier):
-                for b_table, b_one in ring_structures(b_carrier):
-                    for phi in _hom_maps(
+            for ia, (a_table, a_one) in enumerate(ring_structures(a_carrier)):
+                for ib, (b_table, b_one) in enumerate(ring_structures(b_carrier)):
+                    homs = _hom_maps(
                         group, a_table, a_one, a_carrier, b_table, b_one, b_carrier
-                    ):
-                        raw = _assemble(
-                            group, a_carrier, a_table, a_one, b_carrier, b_table, phi
-                        )
-                        structure = validate_lcrng(raw)
-                        found.append(structure)
-                        if max_candidates is not None and len(found) >= max_candidates:
-                            return _dedup(found) if dedup else found
-    return _dedup(found) if dedup else found
+                    )
+                    if dedup:
+                        if not runs:  # no key work until the census finds a φ
+                            first = next(homs, None)
+                            if first is None:
+                                continue
+                            homs = itertools.chain([first], homs)
+                        a_key = keys.ring(a_carrier, ia, a_table)
+                        b_key = keys.ring(b_carrier, ib, b_table)
+                        pair = (a_key.key, b_key.key)
+                        if pair in runs:
+                            count += runs[pair]
+                            if max_candidates is not None and count >= max_candidates:
+                                return found
+                            continue
+                    run = 0
+                    for phi in homs:
+                        run += 1
+                        count += 1
+                        if not dedup or _new(seen, keys.triple(a_key, b_key, phi)):
+                            raw = _assemble(
+                                group, a_carrier, a_table, a_one, b_carrier, b_table, phi
+                            )
+                            found.append(validate_lcrng(raw))
+                        if max_candidates is not None and count >= max_candidates:
+                            return found
+                    if dedup:
+                        runs[pair] = run
+    return found
+
+
+def _new(seen: set[tuple], key: tuple) -> bool:
+    if key in seen:
+        return False
+    seen.add(key)
+    return True
 
 
 def _assemble(
@@ -437,14 +608,6 @@ def _assemble(
     )
 
 
-def _dedup(structures: list[LcRng]) -> list[LcRng]:
-    kept: list[LcRng] = []
-    for s in structures:
-        if not any(lcrng_isomorphic(s, t) for t in kept):
-            kept.append(s)
-    return kept
-
-
 def lcrng_isomorphic(r1: LcRng, r2: LcRng) -> bool:
     """Brute-force isomorphism search over additive bijections fixing 0 that
     carry ·, #, and the designated left identity to a left identity."""
@@ -466,10 +629,10 @@ def lcrng_isomorphic(r1: LcRng, r2: LcRng) -> bool:
     for images in itertools.product(*candidates):
         sigma = [g2.sum(images[gi] for gi in expr[x]) for x in range(n)]
         if (
-            len(set(sigma)) == n
-            and _carries(sigma, g1.add, g2.add, range(n))
-            and sigma[r1.left_identity] in lids2
+            sigma[r1.left_identity] in lids2
             and frozenset(sigma[x] for x in r1.halo) == r2.halo
+            and len(set(sigma)) == n
+            and _carries(sigma, g1.add, g2.add, range(n))
             and _carries(sigma, r1.mul, r2.mul, range(n))
             and _carries(sigma, r1.local_mul, r2.local_mul, halo1)
         ):

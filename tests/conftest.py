@@ -1,6 +1,8 @@
+from functools import cache
+
 import pytest
 
-from huliu import catalog, catalog_pairs
+from huliu import catalog, catalog_pairs, direct_sum_group, enumerate_lcrngs
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +33,10 @@ def r18(cat):
 @pytest.fixture(scope="session")
 def pairs():
     return catalog_pairs()
+
+
+@pytest.fixture(scope="session")
+def census_of():
+    """The census up to isomorphism of a group given by its cyclic orders,
+    computed once per session (Z2^4 takes seconds)."""
+    return cache(lambda orders: enumerate_lcrngs(direct_sum_group(list(orders))))

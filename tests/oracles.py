@@ -18,6 +18,7 @@ from huliu import (
     LcRng,
     RawLcRng,
     Violation,
+    lcrng_isomorphic,
 )
 from huliu.kernel import generating_sequence, subset_key
 
@@ -531,3 +532,14 @@ def is_ring_table(group: FiniteAbelianGroup, carrier, table) -> bool:
             for z in members
         )
     )
+
+
+def brute_dedup(structures: list[LcRng]) -> list[LcRng]:
+    """The first structure of each isomorphism class, in order: each one is
+    compared with every class kept so far by the brute-force
+    `lcrng_isomorphic`."""
+    kept: list[LcRng] = []
+    for s in structures:
+        if not any(lcrng_isomorphic(s, t) for t in kept):
+            kept.append(s)
+    return kept

@@ -24,7 +24,7 @@ from huliu import (
 )
 from huliu.constructions import _ring_structures
 from huliu.kernel import enumerate_subgroups, generating_sequence
-from oracles import brute_ring_structures, is_ring_table
+from oracles import brute_dedup, brute_ring_structures, is_ring_table
 
 
 def test_zmod_values():
@@ -153,6 +153,41 @@ def test_census_matches_brute_oracle(orders, expected):
     assert keys == _brute_census(group)
 
 
+def _spec(orders):
+    return "x".join(map(str, orders))
+
+
+def _tables(s):
+    return s.mul, s.local_mul, s.left_identity
+
+
+ORACLE_GROUPS = [(n,) for n in range(1, 13)] + [(2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("orders", ORACLE_GROUPS, ids=_spec)
+def test_census_keeps_the_representatives_of_the_brute_dedup(orders):
+    """Every abelian group of order <= 12 (Z2xZ6 under two presentations):
+    the triple keys keep exactly the structures that comparing each
+    candidate with every kept class by `lcrng_isomorphic` keeps, in order."""
+    group = direct_sum_group(orders)
+    ours = enumerate_lcrngs(group)
+    brute = brute_dedup(enumerate_lcrngs(group, dedup=False))
+    assert [_tables(s) for s in ours] == [_tables(s) for s in brute]
+
+
+def test_max_candidates_counts_the_triples_of_skipped_pairs(census_of):
+    """With K candidates the census keeps the classes whose first triple is
+    among the first K, the same cut as without dedup, although it skips
+    whole ring pairs and assembles one triple per class."""
+    group = direct_sum_group([2, 2, 2])
+    raw = [_tables(s) for s in enumerate_lcrngs(group, dedup=False)]
+    firsts = [raw.index(_tables(s)) for s in census_of((2, 2, 2))]
+    assert firsts == [0, 2, 7, 336, 338]
+    for k in sorted({1, 2, 3, len(raw), len(raw) + 1} | {p + d for p in firsts for d in (0, 1)}):
+        kept = [_tables(s) for s in enumerate_lcrngs(group, max_candidates=k)]
+        assert kept == [raw[p] for p in firsts if p < k], k
+
+
 def test_census_klein_contains_r4(cat):
     census = enumerate_lcrngs(direct_sum_group([2, 2]))
     assert len(census) == 1
@@ -166,6 +201,19 @@ def test_census_klein_contains_r4(cat):
 # char B | char A leaves B = 0, so it carries nothing.  The others: Z2xZ2 (Z2, Z2, id), Z2xZ4 (Z4, Z2, mod 2), Z3xZ3
 # (Z3, Z3, id), Z2xZ6 and Z2xZ2xZ3 (Z6, Z2, mod 2), Z2xZ8 (Z8, Z2, mod 2),
 # Z4xZ4 (Z4, Z4, id); Z3xZ5 is cyclic.
+# Z2^3: (F2, B, unit) for B = F4, F2^2, F2[x]/(x^2), halo 4; (F2^2, F2, a
+# projection; the swap joins the two) and (F2[x]/(x^2), F2, x -> 0), halo 2.
+# Z2^2xZ4: A = Z4 on a Z4 summand, with B = F4, F2^2, F2[x]/(x^2) on a Z2^2
+# complement, halo 4; A on Z2xZ4 with B = F2, halo 2: (Z4xF2, F2, either
+# projection; Z4 and F2 are not isomorphic, so two classes), (Z4[x]/(2x, x^2),
+# F2, x -> 0), (Z4[x]/(2x, x^2 - 2), F2, x -> 0).  A = Z2 or Z2^2 would need
+# char B = 2 on a complement of char 4, and A = Z2^3 has no complement.
+# Z2^4: (F2, B, unit) for the 6 rings B of order 8 and char 2, halo 8; (A, F2,
+# phi) with F8 0, F2[x]/(x^3) 1, F2[x,y]/(x,y)^2 1, F4xF2 1, F2^3 1,
+# F2xF2[x]/(x^2) 2 classes of phi, halo 2; A and B of order 4, halo 4, classes
+# of phi from F4 to F4, F2^2, F2[x]/(x^2): 1, 0, 0; from F2^2: 1, 2 (an
+# automorphism, or a projection onto the diagonal), 1; from F2[x]/(x^2): 1, 1,
+# 2 (x -> x or x -> 0); 9 in all.
 CENSUS = {(n,): (0, []) for n in range(1, 17)}
 CENSUS.update(
     {
@@ -177,18 +225,17 @@ CENSUS.update(
         (3, 5): (0, []),
         (4, 4): (1, [4]),
         (2, 2, 3): (1, [2]),
+        (2, 2, 2): (5, [2, 2, 4, 4, 4]),
+        (2, 2, 4): (7, [2, 2, 2, 2, 4, 4, 4]),
+        (2, 2, 2, 2): (21, [2] * 6 + [4] * 9 + [8] * 6),
     }
 )
 
 
-def _spec(orders):
-    return "x".join(map(str, orders))
-
-
 @pytest.mark.parametrize("orders", list(CENSUS), ids=_spec)
-def test_census_counts_match_the_splitting_triples(orders):
+def test_census_counts_match_the_splitting_triples(orders, census_of):
     count, halo_orders = CENSUS[orders]
-    census = enumerate_lcrngs(direct_sum_group(orders))
+    census = census_of(orders)
     assert len(census) == count
     assert sorted(len(s.halo) for s in census) == halo_orders
 
@@ -233,10 +280,11 @@ def test_census_structures_round_trip_through_files(orders):
         assert emit_structure(parse_structure(text)) == text
 
 
-def test_census_results_are_pairwise_non_isomorphic():
-    census = enumerate_lcrngs(direct_sum_group([2, 4]))
-    for a, b in itertools.combinations(census, 2):
-        assert not lcrng_isomorphic(a, b)
+def test_census_results_are_pairwise_non_isomorphic(census_of):
+    for orders in [(2, 4), (2, 2, 2), (2, 2, 4)]:
+        for a, b in itertools.combinations(census_of(orders), 2):
+            assert not lcrng_isomorphic(a, b), orders
+    census = census_of((2, 4))
     raw = enumerate_lcrngs(direct_sum_group([2, 4]), dedup=False)
     assert raw and all(any(lcrng_isomorphic(s, t) for t in census) for s in raw)
 

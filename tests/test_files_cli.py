@@ -12,6 +12,7 @@ from huliu import (
     validate_lcrng,
     zmod,
 )
+import huliu.cli
 from huliu.cli import run
 
 from oracles import mutate
@@ -180,3 +181,23 @@ def test_cli_enumerate(capsys):
     assert run(["enumerate", "--group", "zmod:2"]) == 0
     out = capsys.readouterr().out
     assert "0 structures" in out
+
+
+def test_cli_rejects_oversized_specs_before_building_tables(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(huliu.cli, "zmod", lambda n: built.append(n) or zmod(n))
+    assert run(["enumerate", "--group", "zmod:20x30"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: order-too-large: census is capped at order 16, got 600\n"
+    assert run(["construct", "--a", "zmod:200", "--b", "zmod:2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: order-too-large: construct is capped at order 64, got 400\n"
+    assert run(["construct", "--a", "zmod:2x2", "--b", "zmod:17", "--hom", "p1"]) == 2
+    assert "order-too-large" in capsys.readouterr().err
+    assert built == []
+    assert run(["enumerate", "--group", "zmod:17"]) == 2
+    assert "census is capped at order 16, got 17" in capsys.readouterr().err
+    assert run(["construct", "--a", "zmod:16", "--b", "zmod:4"]) == 0
+    capsys.readouterr()
+    assert run(["enumerate", "--group", "zmod:4x4", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "0;1;0,4,8,12\n"

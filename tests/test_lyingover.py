@@ -7,7 +7,11 @@ from huliu import (
     LyingOverRow,
     complement_closure_prime,
     as_graded_ideal,
+    component_ring,
     embed_check,
+    enumerate_subgroups,
+    integral_witness,
+    is_subrng,
     is_huliu_prime,
     lying_over,
     maximal_in_t,
@@ -44,6 +48,34 @@ def test_lenient_zero_halo_part_fails_integrality(r8):
     with pytest.raises(InputError) as err:
         embed_check(r8, frozenset({0, 1, 2, 3}), strict=False)
     assert err.value.code == "not-graded-integral"
+
+
+# Every abelian group of order <= 16, one presentation each; the cyclic ones carry none.
+GROUPS_TO_16 = [(n,) for n in range(1, 17)] + [
+    (2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2)
+]
+
+
+def test_lenient_only_subrngs_are_never_graded_integral(cat, census_of):
+    """A subrng S that misses the local identity 1_1 has S_1·1_1 = S_1, so
+    every element of a degree-k span over S_1 lies in S_1 and 1_1 = 1_1^k is
+    never in it: 1_1 has no monic relation over S_1, and a lenient reading
+    accepts no more pairs than the strict one."""
+    structures = list(cat.values()) + [s for g in GROUPS_TO_16 for s in census_of(g)]
+    assert len(structures) == 4 + 39
+    checked = 0
+    for s in structures:
+        halo_ring = component_ring(s, 1)
+        for subset in enumerate_subgroups(s.group):
+            if not is_subrng(s, subset, strict=False) or is_subrng(s, subset):
+                continue
+            with pytest.raises(InputError) as err:
+                embed_check(s, subset, strict=False)
+            assert err.value.code == "not-graded-integral"
+            s1 = subset & s.halo
+            assert integral_witness(halo_ring, s1, s.local_identity, require_unital=False) is None
+            checked += 1
+    assert checked == 125  # 5 in the catalog, 120 in the census
 
 
 def test_t_set_examples(r4):
