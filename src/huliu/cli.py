@@ -29,7 +29,7 @@ from .constructions import (
     zmod,
 )
 from .errors import InputError, TheoremAlarm, ValidationFailure, Violation
-from .files import emit_structure, parse_structure
+from .files import MAX_ORDER, emit_structure, parse_structure
 from .hlring import (
     HLRING_CHECKS,
     RawHlRing,
@@ -40,7 +40,7 @@ from .hlring import (
     validate_hlring,
 )
 from .ideals import enumerate_ideals, is_huliu_prime, spectrum
-from .integrality import graded_witnesses
+from .integrality import _graded_search
 from .kernel import GROUP_CHECKS, format_subset, parse_subset
 from .lcrng import LCRNG_CHECKS, RawLcRng, decompose, lcrng_violations, validate_lcrng
 from .lyingover import embed_check, verify_lying_over_all
@@ -158,6 +158,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_integral(args: argparse.Namespace) -> int:
+    if args.max_degree is not None and args.max_degree < 1:
+        raise InputError("bad-max-degree", f"--max-degree must be >= 1, got {args.max_degree}")
     structure = validate_lcrng(_parse_lcrng_file(args.file))
     subset = (
         parse_subset(args.subset, structure.order)
@@ -166,10 +168,10 @@ def _cmd_integral(args: argparse.Namespace) -> int:
     )
     rows = []
     all_found = True
-    for u in structure.elements():
-        w0, w1 = graded_witnesses(
-            structure, subset, u, max_degree=args.max_degree, strict=not args.lenient
-        )
+    search = _graded_search(
+        structure, subset, structure.elements(), args.max_degree, strict=not args.lenient
+    )
+    for u, w0, w1 in search:
         d0 = str(w0.degree) if w0 else "-"
         d1 = str(w1.degree) if w1 else "-"
         all_found = all_found and w0 is not None and w1 is not None
@@ -227,7 +229,7 @@ def _rings_from_specs(specs: Sequence[str], cap: int, what: str) -> list[FiniteC
 
 
 def _resolve_hom(a_spec: str, b_spec: str, hom: str):
-    a, b = _rings_from_specs([a_spec, b_spec], 64, "construct")
+    a, b = _rings_from_specs([a_spec, b_spec], MAX_ORDER, "construct")
     a_orders = a_spec.split(":", 1)[1].split("x")
     if hom == "auto":
         hom = "reduction" if len(a_orders) == 1 else ""

@@ -2,10 +2,10 @@
 
 One document format for all three kinds.  Tables are row-major nested
 arrays; undefined local-product entries are JSON null; the additive zero
-sits at index 0.  Parsing checks shape only — algebraic validation is a
-separate step — and emit produces canonical bytes (sorted keys, fixed
-indentation), so parse∘emit is the identity on structures and emit is
-deterministic byte-for-byte.
+sits at index 0.  Parsing refuses orders above 64 and then checks shape
+only — algebraic validation is a separate step — and emit produces
+canonical bytes (sorted keys, fixed indentation), so parse∘emit is the
+identity on structures and emit is deterministic byte-for-byte.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ Structure = RawLcRng | RawHlRing | FiniteCommRing
 Emittable = Structure | LcRng | HlRing
 
 _SCALARS = (str, int, float, bool)
+
+# The documented envelope: tables are quadratic and most searches cubic in
+# the order, so larger documents are refused before any table is read.
+MAX_ORDER = 64
 
 
 def _shape_error(message: str) -> InputError:
@@ -60,6 +64,10 @@ def _read_common(doc: dict) -> tuple[int, str, Metadata]:
     order = doc.get("order")
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise _shape_error(f"'order' must be a positive integer, got {order!r}")
+    if order > MAX_ORDER:
+        raise InputError(
+            "order-too-large", f"structure documents are capped at order {MAX_ORDER}, got {order}"
+        )
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise _shape_error("'name' must be a string")

@@ -13,7 +13,7 @@ algebra over non-fields is needed; everything stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError, TheoremAlarm
 from .ideals import subrng_violation
@@ -180,6 +180,18 @@ def integral_witness(
     """
     subset = frozenset(subring)
     members = _check_subring(ring, subset, require_unital)
+    return _witness_search(ring, subset, members, u, max_degree)
+
+
+def _witness_search(
+    ring: ComponentRing,
+    subset: Subset,
+    members: list[int],
+    u: int,
+    max_degree: int | None,
+) -> IntegralWitness | None:
+    """integral_witness after its subring check: `members` is the checked
+    subring, sorted."""
     if u not in set(ring.carrier):
         raise InputError("element-outside-carrier", f"{u} is not in the {ring.label} carrier")
     if max_degree is None:
@@ -235,6 +247,34 @@ def component_subrings(structure: LcRng, subset: Subset) -> tuple[Subset, Subset
     return s0, s1
 
 
+def _graded_search(
+    structure: LcRng,
+    subset: Subset,
+    elements: Iterable[int],
+    max_degree: int | None = None,
+    strict: bool = True,
+    require_unital: bool = True,
+) -> Iterator[tuple[int, IntegralWitness | None, IntegralWitness | None]]:
+    """(u, w0, w1) for each u of `elements`, lazily, with the witnesses of
+    graded_witnesses.  The subrng, both component rings and both coefficient
+    subrings depend only on the pair, so they are checked once, before the
+    first element is searched."""
+    bad = subrng_violation(structure, subset, strict=strict)
+    if bad is not None:
+        raise InputError("not-a-subrng", str(bad))
+    if max_degree is None:
+        max_degree = structure.order
+    s0, s1 = component_subrings(structure, subset)
+    ring0 = component_ring(structure, 0)
+    members0 = _check_subring(ring0, s0, require_unital)
+    ring1 = component_ring(structure, 1)
+    members1 = _check_subring(ring1, s1, require_unital)
+    for u in elements:
+        w0 = _witness_search(ring0, s0, members0, structure.comp0(u), max_degree)
+        w1 = _witness_search(ring1, s1, members1, structure.comp1(u), max_degree)
+        yield u, w0, w1
+
+
 def graded_witnesses(
     structure: LcRng,
     subset: Subset,
@@ -243,14 +283,7 @@ def graded_witnesses(
     strict: bool = True,
 ) -> tuple[IntegralWitness | None, IntegralWitness | None]:
     """Minimal witnesses for both components of u over the subrng's parts."""
-    bad = subrng_violation(structure, subset, strict=strict)
-    if bad is not None:
-        raise InputError("not-a-subrng", str(bad))
-    if max_degree is None:
-        max_degree = structure.order
-    s0, s1 = component_subrings(structure, subset)
-    w0 = integral_witness(component_ring(structure, 0), s0, structure.comp0(u), max_degree)
-    w1 = integral_witness(component_ring(structure, 1), s1, structure.comp1(u), max_degree)
+    _, w0, w1 = next(_graded_search(structure, subset, (u,), max_degree, strict))
     return w0, w1
 
 

@@ -26,9 +26,8 @@ from .ideals import (
     enumerate_ideals,
     prime_violation,
     spectrum,
-    subrng_violation,
 )
-from .integrality import component_ring, component_subrings, integral_witness
+from .integrality import _graded_search
 from .kernel import SENTINEL, FiniteAbelianGroup, Subset, format_subset
 from .lcrng import LcRng, RawLcRng, validate_lcrng
 
@@ -98,18 +97,14 @@ class LyingOverReport:
 
 def embed_check(structure: LcRng, subset: Subset, strict: bool = True) -> SubrngPair:
     """Verified pair: subrng axioms, graded integrality of the extension,
-    and validation of the re-indexed sub-structure."""
-    bad = subrng_violation(structure, subset, strict=strict)
-    if bad is not None:
-        raise InputError("not-a-subrng", str(bad))
-
-    s0, s1 = component_subrings(structure, subset)
-    ring0 = component_ring(structure, 0)
-    ring1 = component_ring(structure, 1)
+    and validation of the re-indexed sub-structure.  The whole carrier is
+    its own re-indexing, so the already validated ambient structure is
+    reused as the restricted one."""
     bound = structure.order
-    for u in structure.elements():
-        w0 = integral_witness(ring0, s0, structure.comp0(u), bound, require_unital=False)
-        w1 = integral_witness(ring1, s1, structure.comp1(u), bound, require_unital=False)
+    search = _graded_search(
+        structure, subset, structure.elements(), bound, strict, require_unital=False
+    )
+    for u, w0, w1 in search:
         if w0 is None or w1 is None:
             part = 0 if w0 is None else 1
             raise InputError(
@@ -117,6 +112,12 @@ def embed_check(structure: LcRng, subset: Subset, strict: bool = True) -> Subrng
                 f"component {part} of element {u} has no monic relation over the "
                 f"subrng part (searched degrees up to {bound})",
             )
+
+    if len(subset) == structure.order:
+        identity = tuple(structure.elements())
+        return SubrngPair(
+            ambient=structure, sub=subset, restricted=structure, from_sub=identity, to_sub=identity
+        )
 
     from_sub = tuple(sorted(subset))
     to_sub_list = [SENTINEL] * structure.order

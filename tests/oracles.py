@@ -15,11 +15,16 @@ from dataclasses import replace
 from huliu import (
     SENTINEL,
     FiniteAbelianGroup,
+    InputError,
     LcRng,
     RawLcRng,
     Violation,
+    component_ring,
+    integral_witness,
     lcrng_isomorphic,
+    subrng_violation,
 )
+from huliu.integrality import component_subrings
 from huliu.kernel import generating_sequence, subset_key
 
 
@@ -543,3 +548,55 @@ def brute_dedup(structures: list[LcRng]) -> list[LcRng]:
         if not any(lcrng_isomorphic(s, t) for t in kept):
             kept.append(s)
     return kept
+
+
+def per_element_witnesses(structure: LcRng, subset, max_degree=None, strict: bool = True) -> list:
+    """(u, w0, w1) for every element, as the `integral` subcommand once found
+    them: each element re-checks the subrng, rebuilds and re-verifies both
+    component rings and re-checks both coefficient subrings."""
+    found = []
+    for u in structure.elements():
+        bad = subrng_violation(structure, subset, strict=strict)
+        if bad is not None:
+            raise InputError("not-a-subrng", str(bad))
+        bound = structure.order if max_degree is None else max_degree
+        s0, s1 = component_subrings(structure, subset)
+        w0 = integral_witness(component_ring(structure, 0), s0, structure.comp0(u), bound)
+        w1 = integral_witness(component_ring(structure, 1), s1, structure.comp1(u), bound)
+        found.append((u, w0, w1))
+    return found
+
+
+def per_element_embed(structure: LcRng, subset, strict: bool = True) -> list:
+    """(u, w0, w1) for every element, as `embed_check` once searched them:
+    the component rings built once, each coefficient subring re-checked (not
+    necessarily unital) per element, and an InputError at the first element
+    without a witness."""
+    bad = subrng_violation(structure, subset, strict=strict)
+    if bad is not None:
+        raise InputError("not-a-subrng", str(bad))
+    s0, s1 = component_subrings(structure, subset)
+    ring0 = component_ring(structure, 0)
+    ring1 = component_ring(structure, 1)
+    bound = structure.order
+    found = []
+    for u in structure.elements():
+        w0 = integral_witness(ring0, s0, structure.comp0(u), bound, require_unital=False)
+        w1 = integral_witness(ring1, s1, structure.comp1(u), bound, require_unital=False)
+        if w0 is None or w1 is None:
+            part = 0 if w0 is None else 1
+            raise InputError(
+                "not-graded-integral",
+                f"component {part} of element {u} has no monic relation over the "
+                f"subrng part (searched degrees up to {bound})",
+            )
+        found.append((u, w0, w1))
+    return found
+
+
+def outcome(call):
+    """What a call returns, or the code and message of the InputError it raises."""
+    try:
+        return call()
+    except InputError as exc:
+        return exc.code, exc.message

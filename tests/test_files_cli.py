@@ -13,6 +13,7 @@ from huliu import (
     zmod,
 )
 import huliu.cli
+import huliu.files
 from huliu.cli import run
 
 from oracles import mutate
@@ -152,6 +153,16 @@ def test_cli_integral(files, capsys):
     assert "subring-not-unital" in err
 
 
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_cli_integral_rejects_max_degree_below_one(files, capsys, degree):
+    assert run(["integral", files["r8"], "--max-degree", degree, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad-max-degree: --max-degree must be >= 1, got {degree}\n"
+    assert run(["integral", files["r8"], "--max-degree", "1", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 8
+
+
 def test_cli_construct_round_trip(tmp_path, capsys, r8):
     assert run(["construct", "--a", "zmod:4", "--b", "zmod:2", "--name", "r8"]) == 0
     text = capsys.readouterr().out
@@ -201,3 +212,41 @@ def test_cli_rejects_oversized_specs_before_building_tables(capsys, monkeypatch)
     capsys.readouterr()
     assert run(["enumerate", "--group", "zmod:4x4", "--format", "csv"]) == 0
     assert capsys.readouterr().out == "0;1;0,4,8,12\n"
+
+
+def test_documents_above_order_64_are_refused_before_any_table_is_read(
+    tmp_path, capsys, monkeypatch
+):
+    ring_doc = emit_structure(zmod(65))
+    add = json.loads(ring_doc)["add"]
+    tables = {key: add for key in ("add", "bullet", "rarrow", "larrow")}
+    hl_doc = json.dumps({"kind": "hlring", "order": 65, "identity": 0, **tables})
+    read = []
+    read_table = huliu.files._read_table
+
+    def counted(doc, key, *args, **kwargs):
+        read.append(key)
+        return read_table(doc, key, *args, **kwargs)
+
+    monkeypatch.setattr(huliu.files, "_read_table", counted)
+    for command, text in (("verify", ring_doc), ("hl-verify", hl_doc)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(text, encoding="utf-8")
+        assert run([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: order-too-large: structure documents are capped at order 64, got 65\n"
+    assert read == []
+
+
+def test_order_64_documents_still_pass(tmp_path, capsys):
+    def output(argv):
+        assert run(argv) == 0, argv
+        return capsys.readouterr().out
+
+    lcrng, hl, ring = tmp_path / "null8x8.json", tmp_path / "bridge.json", tmp_path / "z64.json"
+    lcrng.write_text(output(["construct", "--a", "zmod:8", "--b", "zmod:8", "--hom", "id"]), encoding="utf-8")
+    hl.write_text(output(["bridge", str(lcrng)]), encoding="utf-8")
+    ring.write_text(emit_structure(zmod(64)), encoding="utf-8")
+    for command, path in (("verify", lcrng), ("hl-verify", hl), ("verify", ring)):
+        assert "verdict: pass" in output([command, str(path)])

@@ -1,15 +1,20 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+import huliu.integrality
 from huliu import (
     InputError,
     IntegralWitness,
     component_ring,
+    emit_structure,
+    enumerate_subgroups,
     graded_witnesses,
     identity_hom,
     integral_witness,
     is_graded_integral,
+    is_subrng,
     local_power,
     mul_power,
     push_down_check,
@@ -19,9 +24,15 @@ from huliu import (
     witness_holds,
     zmod,
 )
-from huliu.integrality import component_subrings
+from huliu.cli import run
+from huliu.integrality import _graded_search, component_subrings
 
-from oracles import brute_min_monic_degree
+from oracles import brute_min_monic_degree, outcome, per_element_witnesses
+
+# Every abelian group of order <= 8, one presentation each (the cyclic ones
+# carry none), and Z2^2 x Z4, whose classes have witnesses with more than one
+# choice of coefficients, so the search order shows.
+ORACLE_GROUPS = [(n,) for n in range(1, 9)] + [(2, 2), (2, 4), (2, 2, 2), (2, 2, 4)]
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +165,54 @@ def test_push_down_rejects_bogus_witnesses(r8):
     with pytest.raises(InputError) as err:
         push_down_check(r8, 2, 4, fake)
     assert err.value.code == "witness-does-not-hold"
+
+
+def test_max_degree_below_one_finds_nothing(r8):
+    ring0 = component_ring(r8, 0)
+    assert integral_witness(ring0, frozenset({0, 1, 2, 3}), 2, max_degree=0) is None
+    assert integral_witness(ring0, frozenset({0, 1, 2, 3}), 2, max_degree=-3) is None
+    assert graded_witnesses(r8, frozenset(range(8)), 5, max_degree=0) == (None, None)
+
+
+def test_pair_search_matches_the_per_element_loop(cat, census_of):
+    """The search that checks the pair once gives the witnesses, or the first
+    error, of the loop that re-checked the pair for every element."""
+    structures = list(cat.values()) + [s for g in ORACLE_GROUPS for s in census_of(g)]
+    assert len(structures) == 4 + 7 + 7
+    kinds = Counter()
+    for s in structures:
+        for subset in enumerate_subgroups(s.group):
+            if is_subrng(s, subset):
+                kind = "strict"
+            elif is_subrng(s, subset, strict=False):
+                kind = "lenient-only"
+            else:
+                kind = "non-subrng"
+            kinds[kind] += 1
+            for strict in (True, False):
+                new = outcome(lambda: list(_graded_search(s, subset, s.elements(), strict=strict)))
+                old = outcome(lambda: per_element_witnesses(s, subset, strict=strict))
+                assert new == old, (s.name, sorted(subset), strict)
+                if kind == "strict":
+                    assert all(w0 and w1 for _, w0, w1 in new)
+                    assert [(u, *graded_witnesses(s, subset, u, strict=strict)) for u in s.elements()] == old
+                else:
+                    assert isinstance(new, tuple), (s.name, sorted(subset), strict)
+    assert all(kinds[k] for k in ("strict", "lenient-only", "non-subrng")), kinds
+
+
+def test_integral_checks_each_component_ring_and_subring_once(tmp_path, monkeypatch, capsys):
+    b = zmod(8)
+    path = tmp_path / "null8x8.json"
+    path.write_text(emit_structure(semidirect_null(b, b, identity_hom(b))), encoding="utf-8")
+    calls = Counter()
+    for name in ("_verify_component_ring", "_check_subring"):
+
+        def counted(*args, name=name, real=getattr(huliu.integrality, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(huliu.integrality, name, counted)
+    assert run(["integral", str(path), "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 64
+    assert calls == {"_verify_component_ring": 2, "_check_subring": 2}

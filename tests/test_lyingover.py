@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+import huliu.cli
 import huliu.ideals
 import huliu.lyingover
 from huliu import (
@@ -9,6 +12,7 @@ from huliu import (
     as_graded_ideal,
     component_ring,
     embed_check,
+    emit_structure,
     enumerate_subgroups,
     integral_witness,
     is_subrng,
@@ -20,6 +24,10 @@ from huliu import (
     t_set,
     verify_lying_over_all,
 )
+from huliu.cli import run
+from huliu.integrality import _graded_search
+
+from oracles import outcome, per_element_embed
 
 
 def _identity_pair(structure):
@@ -76,6 +84,57 @@ def test_lenient_only_subrngs_are_never_graded_integral(cat, census_of):
             assert integral_witness(halo_ring, s1, s.local_identity, require_unital=False) is None
             checked += 1
     assert checked == 125  # 5 in the catalog, 120 in the census
+
+
+def test_embed_check_matches_the_per_element_loop(cat, census_of):
+    """embed_check checks each coefficient subring once, then searches every
+    element; it accepts the pairs, finds the witnesses and raises the first
+    error of the loop that re-checked both subrings for every element."""
+    small = [g for g in GROUPS_TO_16 if math.prod(g) <= 8]
+    structures = list(cat.values()) + [s for g in small for s in census_of(g)]
+
+    def new(s, subset, strict):
+        embed_check(s, subset, strict=strict)
+        return list(_graded_search(s, subset, s.elements(), s.order, strict, require_unital=False))
+
+    accepted = 0
+    for s in structures:
+        for subset in enumerate_subgroups(s.group):
+            for strict in (True, False):
+                got = outcome(lambda: new(s, subset, strict))
+                want = outcome(lambda: per_element_embed(s, subset, strict))
+                assert got == want, (s.name, sorted(subset), strict)
+                accepted += isinstance(got, list)
+                assert isinstance(got, list) == is_subrng(s, subset), (s.name, sorted(subset))
+    assert accepted
+
+
+def test_whole_carrier_reuses_the_validated_ambient(cat, u8, tmp_path, monkeypatch, capsys):
+    """`lying-over` without --subset validates the document once: the whole
+    carrier is its own re-indexing, so the pair's restricted structure is the
+    ambient one."""
+    validated = []
+    validate_lcrng = huliu.lyingover.validate_lcrng
+
+    def counted(raw):
+        validated.append(raw)
+        return validate_lcrng(raw)
+
+    monkeypatch.setattr(huliu.cli, "validate_lcrng", counted)
+    monkeypatch.setattr(huliu.lyingover, "validate_lcrng", counted)
+    for name, s in cat.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(emit_structure(s), encoding="utf-8")
+        validated.clear()
+        assert run(["lying-over", str(path), "--format", "csv"]) == 0, name
+        capsys.readouterr()
+        assert len(validated) == 1, name
+        pair = _identity_pair(s)
+        assert pair.restricted is s
+        assert pair.from_sub == pair.to_sub == tuple(range(s.order))
+    validated.clear()
+    embed_check(u8, frozenset({0, 3, 4, 7}))
+    assert len(validated) == 1  # a strict subrng still validates its re-indexed copy
 
 
 def test_t_set_examples(r4):
