@@ -37,11 +37,14 @@ from .kernel import (
     _associative,
     _commutative,
     _cyclic,
+    _distributes,
     _group_violations,
     _law_violations,
     _left_distributive,
+    _multi_additive,
     _right_distributive,
     _sum,
+    _sum_generators,
     check_table_shape,
     element_orders,
     enumerate_subgroups,
@@ -110,10 +113,30 @@ def comm_ring_violations(ring: FiniteCommRing) -> list[Violation]:
         return out
     rng = range(n)
     cube = (rng, rng, rng)
+    gens = _sum_generators(add)
+    distributes = _distributes("mul", rng, gens)
     laws = (
-        Law("ring-left-distributive", "x(y+z) != xy+xz", cube, _left_distributive(mul, add)),
-        Law("ring-right-distributive", "(x+y)z != xz+yz", cube, _right_distributive(mul, add)),
-        Law("ring-not-associative", "(xy)z != x(yz)", cube, _associative(mul)),
+        Law(
+            "ring-left-distributive",
+            "x(y+z) != xy+xz",
+            cube,
+            _left_distributive(mul, add),
+            decision=distributes,
+        ),
+        Law(
+            "ring-right-distributive",
+            "(x+y)z != xz+yz",
+            cube,
+            _right_distributive(mul, add),
+            decision=distributes,
+        ),
+        Law(
+            "ring-not-associative",
+            "(xy)z != x(yz)",
+            cube,
+            _associative(mul),
+            decision=_multi_additive(("mul",), rng, gens),
+        ),
         Law("ring-not-commutative", "xy != yx", (rng, rng), _commutative(mul)),
         Law(
             "ring-identity-fails",

@@ -16,7 +16,7 @@ from typing import Any
 from .constructions import FiniteCommRing
 from .errors import InputError
 from .hlring import HlRing, RawHlRing
-from .kernel import SENTINEL, FiniteAbelianGroup, Table
+from .kernel import SENTINEL, FiniteAbelianGroup, Table, _row_check
 from .lcrng import LcRng, Metadata, RawLcRng
 
 Structure = RawLcRng | RawHlRing | FiniteCommRing
@@ -37,19 +37,15 @@ def _read_table(doc: dict, key: str, order: int, allow_null: bool = False) -> Ta
     rows = doc.get(key)
     if not isinstance(rows, list) or len(rows) != order:
         raise _shape_error(f"'{key}' must be a {order}x{order} array")
+    fits, first_bad = _row_check(order, (None,) if allow_null else ())
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != order:
             raise _shape_error(f"'{key}' row {i} must have length {order}")
-        vals = []
-        for j, x in enumerate(row):
-            if x is None and allow_null:
-                vals.append(SENTINEL)
-                continue
-            if not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < order):
-                raise _shape_error(f"'{key}' entry ({i},{j}) is {x!r}")
-            vals.append(x)
-        out.append(tuple(vals))
+        if not fits(row):  # JSON has no int subclasses, so a bad entry exists
+            j = first_bad(row)
+            raise _shape_error(f"'{key}' entry ({i},{j}) is {row[j]!r}")
+        out.append(tuple([SENTINEL if x is None else x for x in row] if allow_null else row))
     return tuple(out)
 
 

@@ -20,16 +20,22 @@ from .errors import InputError, TheoremAlarm, ValidationFailure, Violation
 from .kernel import (
     FiniteAbelianGroup,
     Law,
+    Row,
     Subset,
     Table,
     _associative,
     _bracketed,
+    _distributes,
     _first_witness,
     _group_violations,
+    _law_holds,
     _law_violations,
     _left_distributive,
+    _multi_additive,
     _right_distributive,
+    _sum_generators,
     check_table_shape,
+    group_violations,
 )
 from .lcrng import LcRng, Metadata, induced_table
 
@@ -118,6 +124,7 @@ def hlring_violations(raw: RawHlRing) -> list[Violation]:
     s = raw.sigma
     neg = raw.group.negation
     cube = (rng, rng, rng)
+    gens = _sum_generators(add)
 
     def sigma_fixes() -> tuple:
         return [(bullet[s][x], bullet[x][s]) for x in rng], [(x, x) for x in rng]
@@ -126,50 +133,65 @@ def hlring_violations(raw: RawHlRing) -> list[Violation]:
         parts = zip(ra[x], la[x], ra[la[x][s]])
         return list(bullet[x]), [add[r][add[l][neg[t]]] for r, l, t in parts]
 
+    def distributive(code: str, message: str, name: str, row: Row) -> Law:
+        return Law(code, message, cube, row, decision=_distributes(name, rng, gens))
+
+    def trilinear(code: str, message: str, names: tuple[str, ...], row: Row) -> Law:
+        return Law(code, message, cube, row, decision=_multi_additive(names, rng, gens))
+
     laws = (
-        Law(
+        distributive(
             "bullet-left-distributive",
             "x•(y+z) != x•y + x•z",
-            cube,
+            "•",
             _left_distributive(bullet, add),
         ),
-        Law(
+        distributive(
             "bullet-right-distributive",
             "(x+y)•z != x•z + y•z",
-            cube,
+            "•",
             _right_distributive(bullet, add),
         ),
-        Law("bullet-not-associative", "(x•y)•z != x•(y•z)", cube, _associative(bullet)),
+        trilinear("bullet-not-associative", "(x•y)•z != x•(y•z)", ("•",), _associative(bullet)),
         Law("bullet-identity-fails", "σ is not a •-identity", (rng,), sigma_fixes),
         Law("product-decomposition", "x•y != x⇀y + x↼y - (x↼σ)⇀y", (rng, rng), decomposed),
-        Law(
-            "strong-law-bullet-link", "(x⇀y)•z != x•(y↼z)", cube, _bracketed(bullet, ra, bullet, la)
+        trilinear(
+            "strong-law-bullet-link",
+            "(x⇀y)•z != x•(y↼z)",
+            ("•", "⇀", "↼"),
+            _bracketed(bullet, ra, bullet, la),
         ),
-        Law("strong-law-rarrow", "x⇀(y•z) != (x⇀y)⇀z", cube, _bracketed(ra, ra, ra, bullet)),
-        Law(
+        trilinear(
+            "strong-law-rarrow", "x⇀(y•z) != (x⇀y)⇀z", ("⇀", "•"), _bracketed(ra, ra, ra, bullet)
+        ),
+        trilinear(
             "strong-law-larrow",
             "(x•y)↼z != (x↼y)↼z",
-            cube,
+            ("↼", "•"),
             lambda x, y: (la[bullet[x][y]], la[la[x][y]]),
         ),
-        Law("rarrow-left-distributive", "x⇀(y+z) != x⇀y + x⇀z", cube, _left_distributive(ra, add)),
-        Law(
-            "rarrow-right-distributive", "(x+y)⇀z != x⇀z + y⇀z", cube, _right_distributive(ra, add)
+        distributive(
+            "rarrow-left-distributive", "x⇀(y+z) != x⇀y + x⇀z", "⇀", _left_distributive(ra, add)
         ),
-        Law("larrow-left-distributive", "x↼(y+z) != x↼y + x↼z", cube, _left_distributive(la, add)),
-        Law(
-            "larrow-right-distributive", "(x+y)↼z != x↼z + y↼z", cube, _right_distributive(la, add)
+        distributive(
+            "rarrow-right-distributive", "(x+y)⇀z != x⇀z + y⇀z", "⇀", _right_distributive(ra, add)
         ),
-        Law(
+        distributive(
+            "larrow-left-distributive", "x↼(y+z) != x↼y + x↼z", "↼", _left_distributive(la, add)
+        ),
+        distributive(
+            "larrow-right-distributive", "(x+y)↼z != x↼z + y↼z", "↼", _right_distributive(la, add)
+        ),
+        trilinear(
             "rarrow-not-associative",
             "⇀ is not associative (inconsistent input: this must follow)",
-            cube,
+            ("⇀",),
             _associative(ra),
         ),
-        Law(
+        trilinear(
             "larrow-not-associative",
             "↼ is not associative (inconsistent input: this must follow)",
-            cube,
+            ("↼",),
             _associative(la),
         ),
     )
@@ -265,9 +287,28 @@ DIALGEBRA_IDENTITIES: tuple[tuple[str, Callable[..., tuple]], ...] = (
 
 def diassociativity_report(ring: HlRing) -> dict[str, bool]:
     """Which of the five associative-dialgebra identities hold (< is ↼,
-    > is ⇀).  This is a report, never a validation gate."""
+    > is ⇀).  This is a report, never a validation gate, and the ring need
+    not be validated: the identities are decided on generators only when +
+    is an abelian group and both arrows distribute over it, and are scanned
+    in full otherwise."""
+    add, lt, gt = ring.group.add, ring.larrow, ring.rarrow
     rng = ring.elements()
-    return {
-        name: _first_witness(partial(row, ring.larrow, ring.rarrow), (rng, rng, rng)) is None
+    cube = (rng, rng, rng)
+    try:
+        gens = None if group_violations(add) else _sum_generators(add)
+    except InputError:
+        gens = None
+    gates: tuple[Law, ...] = ()
+    decision = None
+    if gens is not None:
+        gates = tuple(
+            Law(name, "", cube, row(table, add), decision=_distributes(name, rng, gens))
+            for name, table in (("<", lt), (">", gt))
+            for row in (_left_distributive, _right_distributive)
+        )
+        decision = _multi_additive(("<", ">"), rng, gens)
+    laws = [
+        Law(name, "", cube, partial(row, lt, gt), decision=decision)
         for name, row in DIALGEBRA_IDENTITIES
-    }
+    ]
+    return dict(zip((name for name, _ in DIALGEBRA_IDENTITIES), _law_holds(laws, gates)))

@@ -17,7 +17,17 @@ from typing import Iterable, Iterator
 
 from .errors import InputError, TheoremAlarm
 from .ideals import subrng_violation
-from .kernel import FiniteAbelianGroup, Law, Subset, Table, _law_violations, format_subset
+from .kernel import (
+    FiniteAbelianGroup,
+    Law,
+    Subset,
+    Table,
+    _distributes,
+    _law_violations,
+    _multi_additive,
+    format_subset,
+    generating_sequence,
+)
 from .lcrng import LcRng
 
 
@@ -96,6 +106,17 @@ def _verify_component_ring(ring: ComponentRing) -> None:
     pairs, cube = (carrier, carrier), (carrier, carrier, carrier)
     everywhere = [True] * len(carrier)
     code = "component-ring-invalid"
+    # The carrier of a validated structure is a subgroup of its group.
+    # Associativity and distributivity are decided on its generators once
+    # every earlier law held: with the product closed and commutative, left
+    # distributivity makes it bi-additive.
+    try:
+        gens = generating_sequence(ring.group, members)
+    except InputError:  # not a subgroup, so the closure law fails first
+        trilinear = distributes = None
+    else:
+        trilinear = _multi_additive(("mul",), carrier, gens)
+        distributes = _distributes("mul", carrier, gens)
 
     def closed(a: int) -> tuple:
         return [mul[a][b] in members and add[a][b] in members for b in carrier], everywhere
@@ -120,8 +141,8 @@ def _verify_component_ring(ring: ComponentRing) -> None:
             (carrier,),
             lambda: ([mul[one][a] for a in carrier], [*carrier]),
         ),
-        Law(code, "not associative at ({},{},{})", cube, associative),
-        Law(code, "not distributive at ({},{},{})", cube, distributive),
+        Law(code, "not associative at ({},{},{})", cube, associative, (code,), trilinear),
+        Law(code, "not distributive at ({},{},{})", cube, distributive, (code,), distributes),
     )
     bad = next(_law_violations(laws), None)
     if bad is not None:

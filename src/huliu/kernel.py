@@ -1,5 +1,7 @@
 """Finite abelian groups, operation tables, subset utilities, and the law
-scanner that every validator runs.  Subgroups are sums of cyclic subgroups:
+engine that every validator runs: a law is decided on additive generators
+where it can be, and scanned in full only to place its first witness.
+Subgroups are sums of cyclic subgroups:
 H + <x> = {h + k·x} is already a subgroup, so one multiples walk serves
 closure, the subgroup lattice, generator sequences and element orders.
 
@@ -26,7 +28,37 @@ Subset = frozenset[int]
 
 
 def freeze_table(rows: Sequence[Sequence[int]]) -> Table:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
+
+
+def _row_check(
+    n: int, extra: tuple[object, ...] = ()
+) -> tuple[Callable[[Sequence[object]], bool], Callable[[Sequence[object]], int | None]]:
+    """(fits, first_bad) for the rows of an n-by-n table whose entries are
+    ints (not bools) in range(n) or one of `extra`, with its type.
+
+    fits(row) checks a whole row at once, as the sets of its types and of its
+    values, and refuses any type but int and those of `extra`.  Only a row it
+    refuses is walked: first_bad(row) is the position of its first bad
+    entry, or None when the row holds int subclasses and nothing worse.
+    """
+    valid = frozenset(range(n)).union(extra)
+    types = {int, *map(type, extra)}
+
+    def fits(row: Sequence[object]) -> bool:
+        return types.issuperset(map(type, row)) and valid.issuperset(row)
+
+    def ok(x: object) -> bool:
+        if isinstance(x, bool):
+            return False
+        if isinstance(x, int) and 0 <= x < n:
+            return True
+        return any(isinstance(x, type(e)) and x == e for e in extra)
+
+    def first_bad(row: Sequence[object]) -> int | None:
+        return next((j for j, x in enumerate(row) if not ok(x)), None)
+
+    return fits, first_bad
 
 
 def check_table_shape(rows: Sequence[Sequence[int]], *, allow_sentinel: bool = False) -> Table:
@@ -34,15 +66,18 @@ def check_table_shape(rows: Sequence[Sequence[int]], *, allow_sentinel: bool = F
     n = len(rows)
     if n == 0:
         raise InputError("non-square-table", "table has no rows")
+    fits, first_bad = _row_check(n, (SENTINEL,) if allow_sentinel else ())
+    exact = True
     for i, row in enumerate(rows):
         if len(row) != n:
             raise InputError("non-square-table", f"row {i} has length {len(row)}, expected {n}")
-        for j, x in enumerate(row):
-            if x == SENTINEL and allow_sentinel:
-                continue
-            if not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < n):
-                raise InputError("table-entry-out-of-range", f"entry ({i},{j}) is {x!r}")
-    return freeze_table(rows)
+        if not fits(row):
+            j = first_bad(row)
+            if j is not None:
+                raise InputError("table-entry-out-of-range", f"entry ({i},{j}) is {row[j]!r}")
+            exact = False
+    # Rows of plain ints are frozen as they are; int subclasses become ints.
+    return tuple(map(tuple, rows)) if exact else freeze_table(rows)
 
 
 @dataclass(frozen=True)
@@ -87,6 +122,20 @@ class FiniteAbelianGroup:
 Row = Callable[..., tuple]
 
 
+class Decision(NamedTuple):
+    """A law decided on a few tuples, `domains`, instead of its own.
+
+    A decision that `proves` a table is one of that table's distributive
+    laws over +; one that `needs` tables is sound only once every decision
+    proving one of them has held.  See `_distributes`, `_multi_additive` and
+    `_light` for the three kinds and why each is exact.
+    """
+
+    domains: tuple[Sequence[int], ...]
+    proves: str = ""
+    needs: tuple[str, ...] = ()
+
+
 class Law(NamedTuple):
     """One axiom, checked over product(*domains) in row-major order.
 
@@ -94,6 +143,8 @@ class Law(NamedTuple):
     the law as two sequences of one type over the last domain; a nullary
     law (no domains) returns two plain values.  `message` is formatted with
     the witness.  The law is skipped once a law coded in `requires` failed.
+    A law with a `decision` is scanned in full only when the decision does
+    not show that it holds, to place its witness.
     """
 
     code: str
@@ -101,6 +152,71 @@ class Law(NamedTuple):
     domains: tuple[Sequence[int], ...]
     row: Row
     requires: tuple[str, ...] = ()
+    decision: Decision | None = None
+
+
+# The three kinds of decision.  Each needs + to be an abelian group on the
+# carrier (`_light` decides that associativity) and `gens` to generate it.
+# With the last coordinate on the whole carrier, rows stay whole rows.
+
+
+def _distributes(table: str, carrier: Sequence[int], gens: Sequence[int]) -> Decision:
+    """x(y+z) = xy + xz, or (x+y)z = xz + yz, with y only on the generators.
+
+    The y for which the law holds for all x and z are closed under +:
+    x((y+y')+z) = x(y+(y'+z)) = xy + xy' + xz and x(y+y') = xy + xy', and
+    the same for the right law; so they are the whole carrier.
+    """
+    return Decision((carrier, gens, carrier), proves=table)
+
+
+def _multi_additive(
+    tables: tuple[str, ...], carrier: Sequence[int], gens: Sequence[int]
+) -> Decision:
+    """A law whose two sides are additive in x, y and z once the named
+    tables distribute on both sides, with x and y only on the generators.
+
+    The difference of the sides is additive in each coordinate, so from
+    (gens, gens, carrier) it vanishes on (carrier, gens, carrier) and then
+    everywhere.
+    """
+    return Decision((gens, gens, carrier), needs=tables)
+
+
+def _light(carrier: Sequence[int], gens: Sequence[int]) -> Decision:
+    """Light's associativity test: (xg)z = x(gz) for every generator g.
+
+    The g for which it holds for all x and z contain 0 (a two-sided zero) and
+    are closed under the product: (x(gh))z = ((xg)h)z = (xg)(hz) =
+    x(g(hz)) = x((gh)z).  `gens` must reach every element as a sum
+    (...((0+g1)+g2)...)+gk, which `_sum_generators` walks for.
+    """
+    return Decision((carrier, gens, carrier))
+
+
+def _sum_generators(add: Table) -> list[int] | None:
+    """Greedy generators of + that reach every element as a left-to-right
+    sum (...((0+g1)+g2)...)+gk, or None unless index 0 is a two-sided zero.
+
+    Only the zero law is assumed, so the list serves Light's test on a
+    table that is not yet known to be associative.
+    """
+    rng = range(len(add))
+    if list(add[0]) != list(rng) or [r[0] for r in add] != list(rng):
+        return None
+    gens: list[int] = []
+    reached = {0}
+    for x in rng:
+        if x not in reached:
+            gens.append(x)
+            frontier = list(reached)
+            while frontier:
+                row = add[frontier.pop()]
+                for g in gens:
+                    if row[g] not in reached:
+                        reached.add(row[g])
+                        frontier.append(row[g])
+    return gens
 
 
 def _first_witness(row: Row, domains: tuple[Sequence[int], ...]) -> tuple[int, ...] | None:
@@ -118,15 +234,51 @@ def _first_witness(row: Row, domains: tuple[Sequence[int], ...]) -> tuple[int, .
     return None
 
 
+def _decider(laws: Sequence[Law]) -> Callable[[Law], bool | None]:
+    """verdict(law): whether a law of `laws` holds by its decision, or None
+    when it has none or one it needs has not held.  Each decision runs at
+    most once per validator call."""
+    provers: dict[str, list[Law]] = {}
+    for law in laws:
+        if law.decision is not None and law.decision.proves:
+            provers.setdefault(law.decision.proves, []).append(law)
+    memo: dict[int, bool | None] = {}
+
+    def verdict(law: Law) -> bool | None:
+        decision = law.decision
+        if decision is None:
+            return None
+        if id(law) not in memo:
+            ready = all(verdict(p) for table in decision.needs for p in provers[table])
+            memo[id(law)] = _first_witness(law.row, decision.domains) is None if ready else None
+        return memo[id(law)]
+
+    return verdict
+
+
 def _law_violations(laws: Iterable[Law]) -> Iterator[Violation]:
-    """One violation per failed law, in table order, each law scanned on demand."""
+    """One violation per failed law, in table order, each law decided or
+    scanned on demand."""
+    laws = tuple(laws)
+    verdict = _decider(laws)
     failed: set[str] = set()
     for law in laws:
-        if failed.isdisjoint(law.requires):
+        if failed.isdisjoint(law.requires) and not verdict(law):
             witness = _first_witness(law.row, law.domains)
             if witness is not None:
                 yield Violation(law.code, witness, law.message.format(*witness))
                 failed.add(law.code)
+
+
+def _law_holds(laws: Sequence[Law], gates: Sequence[Law] = ()) -> list[bool]:
+    """Whether each law holds, by its decision where that settles it and by
+    a full scan otherwise.  `gates` are laws that only prove tables for the
+    decisions of `laws`; their own verdicts are not asked for."""
+    verdict = _decider((*gates, *laws))
+    return [
+        _first_witness(law.row, law.domains) is None if (v := verdict(law)) is None else v
+        for law in laws
+    ]
 
 
 def _gathers(table: Table) -> list[Callable[[Sequence[int]], tuple[int, ...]]]:
@@ -184,6 +336,7 @@ def group_violations(add: Sequence[Sequence[int]]) -> list[Violation]:
 def _group_violations(t: Table) -> list[Violation]:
     """group_violations over a table that already passed check_table_shape."""
     rng = range(len(t))
+    gens = _sum_generators(t)
     laws = (
         Law(
             "zero-not-at-index-zero",
@@ -192,7 +345,13 @@ def _group_violations(t: Table) -> list[Violation]:
             lambda: (list(zip(t[0], [r[0] for r in t])), list(zip(rng, rng))),
         ),
         Law("add-not-commutative", "not commutative", (rng, rng), _commutative(t)),
-        Law("add-not-associative", "not associative", (rng, rng, rng), _associative(t)),
+        Law(
+            "add-not-associative",
+            "not associative",
+            (rng, rng, rng),
+            _associative(t),
+            decision=None if gens is None else _light(rng, gens),
+        ),
         Law(
             "missing-additive-inverse",
             "{} has no inverse",

@@ -20,10 +20,13 @@ from .kernel import (
     Subset,
     Table,
     _associative,
+    _distributes,
     _group_violations,
     _law_violations,
     _left_distributive,
+    _multi_additive,
     _right_distributive,
+    _sum_generators,
     check_table_shape,
 )
 
@@ -169,6 +172,9 @@ def _checked(raw: RawLcRng) -> tuple[list[Violation], LcRng | None]:
     everywhere, on_halo = [True] * n, [True] * len(hs)
     cube, halo_pairs, halo_cube = (rng, rng, rng), (hs, hs), (hs, hs, hs)
     local = ("local-mul-missing",)
+    gens = _sum_generators(add)
+    distributes = _distributes("mul", rng, gens)
+    trilinear = _multi_additive(("mul",), rng, gens)
 
     def left_commutative(x: int, y: int) -> tuple:
         return mul[mul[x][y]], mul[mul[y][x]]
@@ -218,10 +224,22 @@ def _checked(raw: RawLcRng) -> tuple[list[Violation], LcRng | None]:
         return [a1 in halo and add[a0][a1] == a for a, a0, a1 in parts], everywhere
 
     laws = (
-        Law("mul-left-distributive", "x(y+z) != xy+xz", cube, _left_distributive(mul, add)),
-        Law("mul-right-distributive", "(x+y)z != xz+yz", cube, _right_distributive(mul, add)),
-        Law("mul-not-associative", "(xy)z != x(yz)", cube, _associative(mul)),
-        Law("not-left-commutative", "xyz != yxz", cube, left_commutative),
+        Law(
+            "mul-left-distributive",
+            "x(y+z) != xy+xz",
+            cube,
+            _left_distributive(mul, add),
+            decision=distributes,
+        ),
+        Law(
+            "mul-right-distributive",
+            "(x+y)z != xz+yz",
+            cube,
+            _right_distributive(mul, add),
+            decision=distributes,
+        ),
+        Law("mul-not-associative", "(xy)z != x(yz)", cube, _associative(mul), decision=trilinear),
+        Law("not-left-commutative", "xyz != yxz", cube, left_commutative, decision=trilinear),
         Law(
             "left-identity-fails",
             "designated left identity does not fix {}",

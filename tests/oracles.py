@@ -10,6 +10,7 @@ exhaustive code.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import replace
 
 from huliu import (
@@ -24,6 +25,7 @@ from huliu import (
     lcrng_isomorphic,
     subrng_violation,
 )
+from huliu import kernel
 from huliu.integrality import component_subrings
 from huliu.kernel import generating_sequence, subset_key
 
@@ -600,3 +602,16 @@ def outcome(call):
         return call()
     except InputError as exc:
         return exc.code, exc.message
+
+
+@contextmanager
+def full_scans():
+    """The law engine with every generator decision switched off: each law
+    of every validator is scanned over its whole domains, as before laws
+    were decided on additive generators."""
+    decider = kernel._decider
+    kernel._decider = lambda laws: lambda law: None
+    try:
+        yield
+    finally:
+        kernel._decider = decider

@@ -56,6 +56,22 @@ def test_parse_errors():
     assert err.value.code == "shape-mismatch"
 
 
+def test_parse_names_the_first_bad_table_entry(r4):
+    """Rows are checked whole; a refused row is walked for its first bad
+    entry.  JSON null is an entry only of local_mul, and -1 never is."""
+    doc = json.loads(emit_structure(r4))
+    for key, bad in [("mul", None), ("mul", -1), ("local_mul", -1), ("add", 1.0), ("mul", True)]:
+        bent = json.loads(json.dumps(doc))
+        bent[key][2][1] = bent[key][2][3] = bad
+        with pytest.raises(InputError) as err:
+            parse_structure(json.dumps(bent))
+        assert (err.value.code, err.value.message) == (
+            "shape-mismatch",
+            f"'{key}' entry (2,1) is {bad!r}",
+        )
+    assert parse_structure(emit_structure(r4)).local_mul == r4.local_mul
+
+
 def test_parse_accepts_offhalo_local_entry_validation_rejects(r4):
     #  parsing is shape-only; the algebraic complaint comes from validation
     bad = mutate(r4.raw(), "local_mul", 1, 2, 0)

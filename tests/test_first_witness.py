@@ -3,11 +3,13 @@
 Each edit changes one table entry of a catalog structure, of its bridge, or
 of a commutative ring.  Every reported violation must fail its law at the
 witness and no earlier row-major tuple may fail the same law; the codes must
-come out in the validator's check order.  The subset checks of ideals.py
+come out in the validator's check order, and every law the oracle sees fail
+must be reported unless a law it waits for failed.  The subset checks of ideals.py
 report only their first failed clause; they run on every subgroup and ideal
 of each structure and on seeded one-element edits of each ideal.
 """
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -84,12 +86,42 @@ def _edits(obj, names, seed):
             yield f"{name}[{i}][{j}]", replace(obj, **{name: new})
 
 
+# The lcrng laws that wait for others: a law is reported only when each law
+# it names held.  Every non-group law of every validator waits for the group
+# laws.
+LOCAL = ("local-mul-missing",)
+PREREQUISITES = {
+    "local-mul-not-closed": LOCAL,
+    "local-mul-not-commutative": LOCAL,
+    "local-mul-not-associative": LOCAL,
+    "local-mul-not-distributive": ("halo-not-subgroup", *LOCAL),
+    "no-local-identity": LOCAL,
+    "local-triassociativity": LOCAL,
+}
+
+
+def _fails(domains, holds):
+    return not all(holds(*t) for t in itertools.product(*domains))
+
+
+def _expected_codes(laws):
+    """The oracle laws that fail and whose prerequisites held."""
+    failed = {code for code in GROUP_CHECKS if _fails(*laws[code])}
+    if failed:
+        return failed
+    failed = {code for code, law in laws.items() if _fails(*law)}
+    return {code for code in failed if failed.isdisjoint(PREREQUISITES.get(code, ()))}
+
+
 def _check(violations, laws, checks, where):
+    """Codes in check order, each witness the first, and every law that the
+    oracle sees fail, with its prerequisites held, reported."""
     order = (*GROUP_CHECKS, *checks)
     codes = [v.code for v in violations]
     assert codes == sorted(set(codes), key=order.index), where
     for v in violations:
         assert witness_is_first(laws, v), (where, v)
+    assert set(codes) == _expected_codes(laws), where
 
 
 @pytest.mark.parametrize("name", ["r4", "r8", "u8", "r18"])

@@ -14,7 +14,13 @@ from huliu import (
     validate_group,
     zmod,
 )
-from huliu.kernel import element_orders, generating_sequence, group_violations, subset_key
+from huliu.kernel import (
+    check_table_shape,
+    element_orders,
+    generating_sequence,
+    group_violations,
+    subset_key,
+)
 
 from oracles import brute_subgroups
 
@@ -61,6 +67,42 @@ def test_non_square_table_is_an_input_error():
     with pytest.raises(InputError) as err:
         group_violations([[0, 1], [1]])
     assert err.value.code == "non-square-table"
+
+
+def test_float_sentinel_is_refused():
+    """Only the int SENTINEL stands for an undefined entry: -1.0 compares
+    equal to it but is refused like 1.0 and True."""
+    assert check_table_shape([[-1, 0], [0, 0]], allow_sentinel=True) == ((-1, 0), (0, 0))
+    for bad in (-1.0, 1.0, True):
+        with pytest.raises(InputError) as err:
+            check_table_shape([[bad, 0], [0, 0]], allow_sentinel=True)
+        assert (err.value.code, err.value.message) == (
+            "table-entry-out-of-range",
+            f"entry (0,0) is {bad!r}",
+        )
+
+
+@pytest.mark.parametrize("sentinel", [False, True])
+def test_table_checks_name_the_first_bad_entry_of_the_first_bad_row(sentinel):
+    """Whole rows are checked at once; the one refused is walked for its first
+    bad entry, with the message of an entry-by-entry check."""
+    for bad in [4, -2, 2.0, False, "1", None, [0]] + ([] if sentinel else [-1]):
+        rows = [[0, 1, 2, 3], [1, 2, 3, bad], [2, bad, 0, 1], [3, 0, 1, 2]]
+        with pytest.raises(InputError) as err:
+            check_table_shape(rows, allow_sentinel=sentinel)
+        assert err.value.message == f"entry (1,3) is {bad!r}"
+    rows = [[0, 1, 2, 3], [1, 2, 3, -1], [2, 3, 0, 1], [3, 0, 1, 2]]
+    if sentinel:
+        assert check_table_shape(rows, allow_sentinel=True)[1] == (1, 2, 3, -1)
+
+
+def test_int_subclass_entries_are_frozen_as_ints():
+    class Index(int):
+        pass
+
+    table = check_table_shape([[Index(0), Index(1)], [1, 0]])
+    assert table == ((0, 1), (1, 0))
+    assert {type(x) for row in table for x in row} == {int}
 
 
 def test_subgroup_closure_examples():
