@@ -168,10 +168,7 @@ def _cmd_integral(args: argparse.Namespace) -> int:
     )
     rows = []
     all_found = True
-    search = _graded_search(
-        structure, subset, structure.elements(), args.max_degree, strict=not args.lenient
-    )
-    for u, w0, w1 in search:
+    for u, w0, w1 in _graded_search(structure, subset, structure.elements(), args.max_degree):
         d0 = str(w0.degree) if w0 else "-"
         d1 = str(w1.degree) if w1 else "-"
         all_found = all_found and w0 is not None and w1 is not None
@@ -188,7 +185,7 @@ def _cmd_lying_over(args: argparse.Namespace) -> int:
         if args.subset
         else frozenset(range(structure.order))
     )
-    pair = embed_check(structure, subset, strict=not args.lenient)
+    pair = embed_check(structure, subset)
     report = verify_lying_over_all(pair)
     rows = []
     for row in report.rows:
@@ -264,6 +261,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.max_candidates is not None and args.max_candidates < 1:
+        raise InputError(
+            "bad-max-candidates", f"--max-candidates must be >= 1, got {args.max_candidates}"
+        )
     (ring,) = _rings_from_specs([args.group], 16, "census")
     group = ring.group
     structures = enumerate_lcrngs(
@@ -335,12 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--subset", default="", help="subrng as comma-separated indices")
     p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--lenient", action="store_true", help="relaxed subrng reading")
 
     p = add("lying-over", _cmd_lying_over, help="replay the lying-over theorem on a pair")
     p.add_argument("file")
     p.add_argument("--subset", default="", help="subrng as comma-separated indices")
-    p.add_argument("--lenient", action="store_true")
 
     p = add("construct", _cmd_construct, help="build a structure from a family recipe")
     p.add_argument("--family", default="semidirect")

@@ -1,14 +1,23 @@
 """Builders and searches that populate the catalog of concrete structures.
 
+A commutative ring is one type, `FiniteCommRing`: a product on a subgroup of
+a finite abelian group, in the group's indices, whose ring laws are one law
+table (`_ring_violations`) shared by `comm_ring_violations` and the
+component rings of integrality.py.  `zmod` and `ring_product` give rings on
+their whole group, the census gives rings on subgroups.
+
 The canonical example family is the null left action A ⋉ B: carrier A ⊕ B
 with (a,b)·(a',b') = (a·a', φ(a)#b') for commutative unital rings A, B (B
-nonzero) and a unital hom φ: A → B.  The census enumerates all structures
-on a given abelian group by enumerating decompositions, component ring
-structures, and homs — the parametrization the axioms force — and
-re-validates every result exhaustively.  A ring structure on a subgroup is
-searched as commuting additive maps x ↦ x·g, one per generator, checked on
-generators only; each subgroup's rings are found once per census, and the
-zero subgroup is never a component A (φ(1) = φ(0) = 0 is not 1_B).
+nonzero) and a unital hom φ: A → B.  It is assembled from its splitting
+triple by `_assemble`, for the census and for `semidirect_null`, which
+places A and B on the two factor subgroups of `ring_product(A, B)`.
+The census enumerates all structures on a given abelian group by
+enumerating decompositions, component ring structures, and homs — the
+parametrization the axioms force — and re-validates every result
+exhaustively.  A ring structure on a subgroup is searched as commuting
+additive maps x ↦ x·g, one per generator, checked on generators only; each
+subgroup's rings are found once per census, and the zero subgroup is never
+a component A (φ(1) = φ(0) = 0 is not 1_B).
 
 A structure is fixed up to isomorphism by its splitting triple (A = R0
 under ·, B = the halo under #, φ), and two structures are isomorphic
@@ -23,7 +32,7 @@ brute-force search over additive bijections, is kept as the oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Iterator, NamedTuple, Sequence
 
@@ -34,17 +43,12 @@ from .kernel import (
     Law,
     Subset,
     Table,
-    _associative,
-    _commutative,
     _cyclic,
     _distributes,
     _group_violations,
     _law_violations,
-    _left_distributive,
     _multi_additive,
-    _right_distributive,
     _sum,
-    _sum_generators,
     check_table_shape,
     element_orders,
     enumerate_subgroups,
@@ -62,21 +66,57 @@ from .lcrng import (
 
 @dataclass(frozen=True)
 class FiniteCommRing:
+    """A commutative unital ring on a subgroup of a group, in the group's
+    indices: x·y is mul[x][y] for x and y in `carrier`, a sorted tuple that
+    defaults to the whole group.  Entries of `mul` off carrier × carrier are
+    never read.  A `ring` document holds a ring on its whole group."""
+
     group: FiniteAbelianGroup
     mul: Table
     one: int
     name: str = ""
     metadata: Metadata = ()
+    carrier: tuple[int, ...] = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.carrier is None:
+            object.__setattr__(self, "carrier", tuple(range(self.group.order)))
 
     @property
     def order(self) -> int:
-        return self.group.order
+        return len(self.carrier)
+
+    @cached_property
+    def members(self) -> Subset:
+        return frozenset(self.carrier)
+
+    @cached_property
+    def gens(self) -> list[int]:
+        """Generators of the carrier, which must be a subgroup."""
+        return generating_sequence(self.group, self.members)
 
     def plus(self, a: int, b: int) -> int:
         return self.group.add[a][b]
 
+    def neg(self, a: int) -> int:
+        return self.group.neg(a)
+
+    def minus(self, a: int, b: int) -> int:
+        return self.group.minus(a, b)
+
     def times(self, a: int, b: int) -> int:
-        return self.mul[a][b]
+        v = self.mul[a][b]
+        if v < 0:
+            raise InputError("product-undefined", f"{self.name} product undefined at ({a},{b})")
+        return v
+
+    def power(self, u: int, k: int) -> int:
+        if k == 0:
+            return self.one
+        acc = u
+        for _ in range(k - 1):
+            acc = self.times(acc, u)
+        return acc
 
 
 @dataclass(frozen=True)
@@ -100,6 +140,70 @@ RING_CHECKS = (
 )
 
 
+def _ring_violations(ring: FiniteCommRing) -> Iterator[Violation]:
+    """The ring laws over the carrier, lazily, one violation per failed law.
+
+    Closure under + and the product comes first and every other law waits
+    for it; on a whole group it always holds.  Then come the laws of
+    RING_CHECKS, the identity law split in two: the identity lies in the
+    carrier, then it fixes each element.  Distributivity and associativity
+    are decided on the carrier's generators.
+    """
+    carrier, members, one = ring.carrier, ring.members, ring.one
+    add, mul = ring.group.add, ring.mul
+    pairs, cube = (carrier, carrier), (carrier, carrier, carrier)
+    everywhere = [True] * len(carrier)
+    closed = ("ring-not-closed",)
+    try:
+        gens = ring.gens
+    except InputError:  # not a subgroup, so the closure law fails first
+        distributes = trilinear = None
+    else:
+        distributes = _distributes("mul", carrier, gens)
+        trilinear = _multi_additive(("mul",), carrier, gens)
+
+    def closure(x: int) -> tuple:
+        return [add[x][y] in members and mul[x][y] in members for y in carrier], everywhere
+
+    def left(x: int, y: int) -> tuple:
+        row = mul[x]
+        return [row[add[y][z]] for z in carrier], [add[row[y]][row[z]] for z in carrier]
+
+    def right(x: int, y: int) -> tuple:
+        row, rx, ry = mul[add[x][y]], mul[x], mul[y]
+        return [row[z] for z in carrier], [add[rx[z]][ry[z]] for z in carrier]
+
+    def associative(x: int, y: int) -> tuple:
+        row, rx, ry = mul[mul[x][y]], mul[x], mul[y]
+        return [row[z] for z in carrier], [rx[ry[z]] for z in carrier]
+
+    def commutative(x: int) -> tuple:
+        return [mul[x][y] for y in carrier], [mul[y][x] for y in carrier]
+
+    laws = (
+        Law("ring-not-closed", "carrier not closed at ({},{})", pairs, closure),
+        Law("ring-left-distributive", "x(y+z) != xy+xz", cube, left, closed, distributes),
+        Law("ring-right-distributive", "(x+y)z != xz+yz", cube, right, closed, distributes),
+        Law("ring-not-associative", "(xy)z != x(yz)", cube, associative, closed, trilinear),
+        Law("ring-not-commutative", "xy != yx", pairs, commutative, closed),
+        Law(
+            "ring-identity-fails",
+            "designated identity {} lies outside the carrier",
+            ((one,),),
+            lambda: ([one in members], [True]),
+            closed,
+        ),
+        Law(
+            "ring-identity-fails",
+            "designated identity fails",
+            (carrier,),
+            lambda: ([mul[one][x] for x in carrier], list(carrier)),
+            (*closed, "ring-identity-fails"),
+        ),
+    )
+    return _law_violations(laws)
+
+
 def comm_ring_violations(ring: FiniteCommRing) -> list[Violation]:
     n = ring.group.order
     add = check_table_shape(ring.group.add)
@@ -111,41 +215,7 @@ def comm_ring_violations(ring: FiniteCommRing) -> list[Violation]:
     out = _group_violations(add)
     if out:
         return out
-    rng = range(n)
-    cube = (rng, rng, rng)
-    gens = _sum_generators(add)
-    distributes = _distributes("mul", rng, gens)
-    laws = (
-        Law(
-            "ring-left-distributive",
-            "x(y+z) != xy+xz",
-            cube,
-            _left_distributive(mul, add),
-            decision=distributes,
-        ),
-        Law(
-            "ring-right-distributive",
-            "(x+y)z != xz+yz",
-            cube,
-            _right_distributive(mul, add),
-            decision=distributes,
-        ),
-        Law(
-            "ring-not-associative",
-            "(xy)z != x(yz)",
-            cube,
-            _associative(mul),
-            decision=_multi_additive(("mul",), rng, gens),
-        ),
-        Law("ring-not-commutative", "xy != yx", (rng, rng), _commutative(mul)),
-        Law(
-            "ring-identity-fails",
-            "designated identity fails",
-            (rng,),
-            lambda: (mul[ring.one], tuple(rng)),
-        ),
-    )
-    return list(_law_violations(laws))
+    return list(_ring_violations(ring))
 
 
 def validate_comm_ring(ring: FiniteCommRing) -> FiniteCommRing:
@@ -167,7 +237,7 @@ def zmod(n: int) -> FiniteCommRing:
 
 
 def ring_product(a: FiniteCommRing, b: FiniteCommRing) -> FiniteCommRing:
-    """Componentwise product ring; index (x, y) -> x + |A|·y."""
+    """Componentwise product of rings on their whole groups; index (x, y) -> x + |A|·y."""
     na, nb = a.order, b.order
     n = na * nb
 
@@ -199,6 +269,7 @@ def ring_product(a: FiniteCommRing, b: FiniteCommRing) -> FiniteCommRing:
 
 
 def ring_hom(source: FiniteCommRing, target: FiniteCommRing, mapping) -> RingHom:
+    """A unital hom between rings on their whole groups, checked on every pair."""
     m = tuple(int(x) for x in mapping)
     if len(m) != source.order:
         raise InputError("hom-shape-mismatch", "mapping length differs from source order")
@@ -248,47 +319,22 @@ def projection_hom(
 def semidirect_null(
     a: FiniteCommRing, b: FiniteCommRing, phi: RingHom, name: str = ""
 ) -> RawLcRng:
-    """The null left action structure on A ⊕ B; re-verified on every build."""
+    """The null left action structure A ⋉ B, assembled on the group of
+    ring_product(A, B) with A and B on its two factor subgroups (index
+    a + |A|·b); re-verified on every build."""
     if b.order == 1:
         raise InputError("zero-b", "component B must be a nonzero ring")
     if phi.source != a or phi.target != b:
         raise InputError("hom-mismatch", "phi must map A to B")
     if phi.mapping[a.one] != b.one:
         raise InputError("non-unital-hom", "phi does not send identity to identity")
-    na, nb = a.order, b.order
-    n = na * nb
-
-    def enc(x: int, y: int) -> int:
-        return x + na * y
-
-    add = tuple(
-        tuple(
-            enc(a.plus(u % na, v % na), b.plus(u // na, v // na)) for v in range(n)
-        )
-        for u in range(n)
+    na, product = a.order, ring_product(a, b)
+    raw = _assemble(
+        replace(product, one=a.one, carrier=tuple(range(na))),
+        replace(product, one=na * b.one, carrier=tuple(range(0, product.order, na))),
+        [na * v for v in phi.mapping],
     )
-    mul = tuple(
-        tuple(
-            enc(a.times(u % na, v % na), b.times(phi(u % na), v // na)) for v in range(n)
-        )
-        for u in range(n)
-    )
-    loc = tuple(
-        tuple(
-            enc(0, b.times(u // na, v // na))
-            if u % na == 0 and v % na == 0
-            else SENTINEL
-            for v in range(n)
-        )
-        for u in range(n)
-    )
-    raw = RawLcRng(
-        group=FiniteAbelianGroup(order=n, add=add),
-        mul=mul,
-        left_identity=enc(a.one, 0),
-        local_mul=loc,
-        name=name or (f"null({a.name},{b.name})" if a.name and b.name else ""),
-    )
+    raw = replace(raw, name=name or (f"null({a.name},{b.name})" if a.name and b.name else ""))
     violations = lcrng_violations(raw)
     if violations:
         raise TheoremAlarm(
@@ -299,39 +345,54 @@ def semidirect_null(
     return raw
 
 
-def _expressions(group: FiniteAbelianGroup, gens: list[int]) -> dict[int, list[int]]:
-    """Each reachable element as a multiset of generator indices summing to it."""
-    expr: dict[int, list[int]] = {0: []}
+Walk = list[tuple[int, int, int]]
+
+
+def _walk(group: FiniteAbelianGroup, gens: Sequence[int]) -> Walk:
+    """Each nonzero element the generators reach, breadth first from 0, as
+    (y, x, i) with y = x + gens[i] and x reached before y."""
+    walk: Walk = []
+    reached = {0}
     frontier = [0]
-    while frontier:
-        x = frontier.pop(0)
-        for gi, g in enumerate(gens):
+    for x in frontier:  # grows while it is walked
+        for i, g in enumerate(gens):
             y = group.add[x][g]
-            if y not in expr:
-                expr[y] = expr[x] + [gi]
+            if y not in reached:
+                reached.add(y)
+                walk.append((y, x, i))
                 frontier.append(y)
-    return expr
+    return walk
+
+
+def _extend(add: Table, walk: Walk, images: Sequence[int]) -> list[int]:
+    """The map h along a walk with h(0) = 0 and h(x + gens[i]) = h(x) +
+    images[i], indexed by the group's elements, SENTINEL off the span.  It
+    is additive exactly when that holds for every x of the span and i."""
+    h = [SENTINEL] * len(add)
+    h[0] = 0
+    for y, x, i in walk:
+        h[y] = add[h[x]][images[i]]
+    return h
 
 
 def _additive_maps(
     group: FiniteAbelianGroup, gens: list[int], targets: Sequence[int]
-) -> Iterator[dict[int, int]]:
+) -> Iterator[list[int]]:
     """Additive maps from the subgroup the generators span, with generator
     images drawn from targets, in lexicographic order of those images.  A map
     is additive once h(x + g) = h(x) + h(g) for every x and every generator
     g: by induction along sums of generators."""
-    expr = _expressions(group, gens)
+    walk = _walk(group, gens)
+    span = [0, *(y for y, _, _ in walk)]
     add = group.add
     for images in itertools.product(targets, repeat=len(gens)):
-        h = {x: group.sum(images[i] for i in e) for x, e in expr.items()}
-        if all(h[add[x][g]] == add[h[x]][v] for g, v in zip(gens, images) for x in expr):
+        h = _extend(add, walk, images)
+        if all(h[add[x][g]] == add[h[x]][v] for g, v in zip(gens, images) for x in span):
             yield h
 
 
-def _ring_structures(
-    group: FiniteAbelianGroup, carrier: Subset
-) -> Iterator[tuple[dict[tuple[int, int], int], int]]:
-    """All commutative unital ring structures on a subgroup, as (table, one).
+def _ring_structures(group: FiniteAbelianGroup, carrier: Subset) -> Iterator[FiniteCommRing]:
+    """All commutative unital ring structures on a subgroup.
 
     A product additive in each argument is fixed by the additive maps
     hⱼ = (-)·gⱼ, one per generator, with hⱼ(gᵢ) = hᵢ(gⱼ) = gᵢgⱼ, so that
@@ -340,18 +401,19 @@ def _ring_structures(
     generators, and the identity is the first e with hⱼ(e) = gⱼ for every j.
     hⱼ is chosen after h₀..hⱼ₋₁, which fix its first j images, so structures
     come in lexicographic order of their constants gᵢgⱼ, i ≤ j, row by row.
+    The row of x is the additive map y ↦ x·y, with images hⱼ(x).
     """
-    members = sorted(carrier)
+    members = tuple(sorted(carrier))
     gens = generating_sequence(group, carrier)
-    expr = _expressions(group, gens)
+    walk = _walk(group, gens)
     k = len(gens)
     # additive maps by their first j generator images, each list in lexicographic order
-    by_prefix: dict[tuple[int, ...], list[dict[int, int]]] = {}
+    by_prefix: dict[tuple[int, ...], list[list[int]]] = {}
     for h in _additive_maps(group, gens, members):
         for j in range(k):
             by_prefix.setdefault(tuple(h[g] for g in gens[:j]), []).append(h)
 
-    def extend(maps: list[dict[int, int]]) -> Iterator[list[dict[int, int]]]:
+    def extend(maps: list[list[int]]) -> Iterator[list[list[int]]]:
         if len(maps) == k:
             yield maps
             return
@@ -360,32 +422,25 @@ def _ring_structures(
             if all(h[m[x]] == m[h[x]] for m in maps for x in gens):
                 yield from extend(maps + [h])
 
+    blank = (SENTINEL,) * group.order
     for maps in extend([]):
         one = next((e for e in members if all(h[e] == g for h, g in zip(maps, gens))), None)
         if one is not None:
-            table = {
-                (x, y): group.sum(maps[j][x] for j in expr[y]) for x in members for y in members
-            }
-            yield table, one
+            rows = [blank] * group.order
+            for x in members:
+                rows[x] = tuple(_extend(group.add, walk, [m[x] for m in maps]))
+            yield FiniteCommRing(group, tuple(rows), one, carrier=members)
 
 
-def _hom_maps(
-    group: FiniteAbelianGroup,
-    a_table: dict[tuple[int, int], int],
-    a_one: int,
-    a_carrier: Subset,
-    b_table: dict[tuple[int, int], int],
-    b_one: int,
-    b_carrier: Subset,
-) -> Iterator[dict[int, int]]:
-    """All unital ring homs between subgroup rings living inside one group.
+def _hom_maps(a: FiniteCommRing, b: FiniteCommRing) -> Iterator[list[int]]:
+    """All unital ring homs between two rings on subgroups of one group.
 
     Both products are bilinear, so an additive map is multiplicative once it
     is on generator pairs."""
-    gens = generating_sequence(group, a_carrier)
-    for phi in _additive_maps(group, gens, sorted(b_carrier)):
-        if phi[a_one] == b_one and all(
-            phi[a_table[(g, h)]] == b_table[(phi[g], phi[h])] for g in gens for h in gens
+    gens = a.gens
+    for phi in _additive_maps(a.group, gens, b.carrier):
+        if phi[a.one] == b.one and all(
+            phi[a.mul[g][h]] == b.mul[phi[g]][phi[h]] for g in gens for h in gens
         ):
             yield phi
 
@@ -424,10 +479,10 @@ Coordinates = dict[int, tuple[int, ...]]
 
 
 def _constants(
-    table: dict[tuple[int, int], int], basis: tuple[int, ...], coords: Coordinates
+    mul: Table, basis: tuple[int, ...], coords: Coordinates
 ) -> tuple[tuple[int, ...], ...]:
     """The products b_i·b_j, i ≤ j, in the basis's coordinates."""
-    return tuple(coords[table[(x, y)]] for i, x in enumerate(basis) for y in basis[i:])
+    return tuple(coords[mul[x][y]] for i, x in enumerate(basis) for y in basis[i:])
 
 
 class _RingKey(NamedTuple):
@@ -457,7 +512,7 @@ class _TripleKeys:
         self.frames: dict[Subset, dict[tuple[int, ...], Coordinates]] = {}
         # (orders, reference constants) -> (least table, its bases in reference coordinates)
         self.tables: dict[tuple, tuple[tuple, list[tuple[tuple[int, ...], ...]]]] = {}
-        self.rings: dict[tuple[Subset, int], _RingKey] = {}
+        self.rings: dict[tuple[tuple[int, ...], int], _RingKey] = {}
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
@@ -476,8 +531,9 @@ class _TripleKeys:
             }
         return coords
 
-    def ring(self, carrier: Subset, index: int, table: dict[tuple[int, int], int]) -> _RingKey:
-        """The key of the index-th ring structure on a carrier, whose table is given."""
+    def ring(self, ring: FiniteCommRing, index: int) -> _RingKey:
+        """The key of a ring, the index-th structure on its carrier."""
+        carrier = ring.carrier
         found = self.rings.get((carrier, index))
         if found is None:
             if carrier not in self.frames:
@@ -488,9 +544,9 @@ class _TripleKeys:
             frame = self.frames[carrier]
             ref, ref_coords = next(iter(frame.items()))
             orders = tuple(self.orders[x] for x in ref)
-            constants = _constants(table, ref, ref_coords)
+            constants = _constants(ring.mul, ref, ref_coords)
             if (orders, constants) not in self.tables:
-                forms = {b: _constants(table, b, c) for b, c in frame.items()}
+                forms = {b: _constants(ring.mul, b, c) for b, c in frame.items()}
                 least = min(forms.values())
                 reaching = [tuple(ref_coords[x] for x in b) for b, f in forms.items() if f == least]
                 self.tables[(orders, constants)] = (least, reaching)
@@ -502,7 +558,7 @@ class _TripleKeys:
         return found
 
     @staticmethod
-    def triple(a: _RingKey, b: _RingKey, phi: dict[int, int]) -> tuple:
+    def triple(a: _RingKey, b: _RingKey, phi: Sequence[int]) -> tuple:
         form = min(
             tuple(coords[phi[x]] for x in basis) for basis in a.bases for coords in b.bases.values()
         )
@@ -549,19 +605,17 @@ def enumerate_lcrngs(
                 continue
             if len(a_carrier) * len(b_carrier) != n:
                 continue
-            for ia, (a_table, a_one) in enumerate(ring_structures(a_carrier)):
-                for ib, (b_table, b_one) in enumerate(ring_structures(b_carrier)):
-                    homs = _hom_maps(
-                        group, a_table, a_one, a_carrier, b_table, b_one, b_carrier
-                    )
+            for ia, a in enumerate(ring_structures(a_carrier)):
+                for ib, b in enumerate(ring_structures(b_carrier)):
+                    homs = _hom_maps(a, b)
                     if dedup:
                         if not runs:  # no key work until the census finds a φ
                             first = next(homs, None)
                             if first is None:
                                 continue
                             homs = itertools.chain([first], homs)
-                        a_key = keys.ring(a_carrier, ia, a_table)
-                        b_key = keys.ring(b_carrier, ib, b_table)
+                        a_key = keys.ring(a, ia)
+                        b_key = keys.ring(b, ib)
                         pair = (a_key.key, b_key.key)
                         if pair in runs:
                             count += runs[pair]
@@ -573,10 +627,7 @@ def enumerate_lcrngs(
                         run += 1
                         count += 1
                         if not dedup or _new(seen, keys.triple(a_key, b_key, phi)):
-                            raw = _assemble(
-                                group, a_carrier, a_table, a_one, b_carrier, b_table, phi
-                            )
-                            found.append(validate_lcrng(raw))
+                            found.append(validate_lcrng(_assemble(a, b, phi)))
                         if max_candidates is not None and count >= max_candidates:
                             return found
                     if dedup:
@@ -591,44 +642,24 @@ def _new(seen: set[tuple], key: tuple) -> bool:
     return True
 
 
-def _assemble(
-    group: FiniteAbelianGroup,
-    a_carrier: Subset,
-    a_table: dict[tuple[int, int], int],
-    a_one: int,
-    b_carrier: Subset,
-    b_table: dict[tuple[int, int], int],
-    phi: dict[int, int],
-) -> RawLcRng:
-    n = group.order
-    add = group.add
-    split: dict[int, tuple[int, int]] = {}
-    for a in a_carrier:
-        for b in b_carrier:
-            split[add[a][b]] = (a, b)
-    mul_rows = []
-    for x in range(n):
-        ax, _ = split[x]
-        row = []
-        for y in range(n):
-            ay, by = split[y]
-            row.append(add[a_table[(ax, ay)]][b_table[(phi[ax], by)]])
-        mul_rows.append(tuple(row))
-    loc_rows = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            if x in b_carrier and y in b_carrier:
-                row.append(b_table[(x, y)])
-            else:
-                row.append(SENTINEL)
-        loc_rows.append(tuple(row))
-    return RawLcRng(
-        group=group,
-        mul=tuple(mul_rows),
-        left_identity=a_one,
-        local_mul=tuple(loc_rows),
+def _assemble(a: FiniteCommRing, b: FiniteCommRing, phi: Sequence[int]) -> RawLcRng:
+    """The null construction A ⋉ B of a splitting triple whose rings lie on
+    complementary subgroups of one group: (a+b)·(a'+b') = aa' + φ(a)b',
+    e = 1_A, and # is the product of B on B."""
+    group, add = a.group, a.group.add
+    split = {add[x][y]: (x, y) for x in a.carrier for y in b.carrier}
+    parts = [split[v] for v in range(group.order)]
+    mul = []
+    for ax, _ in parts:
+        ra, rb = a.mul[ax], b.mul[phi[ax]]
+        mul.append(tuple(add[ra[ay]][rb[by]] for ay, by in parts))
+    on_b = [y in b.members for y in range(group.order)]
+    blank = (SENTINEL,) * group.order
+    loc = tuple(
+        tuple(v if ok else SENTINEL for v, ok in zip(row, on_b)) if on_x else blank
+        for row, on_x in zip(b.mul, on_b)
     )
+    return RawLcRng(group=group, mul=tuple(mul), left_identity=a.one, local_mul=loc)
 
 
 def lcrng_isomorphic(r1: LcRng, r2: LcRng) -> bool:
@@ -643,14 +674,14 @@ def lcrng_isomorphic(r1: LcRng, r2: LcRng) -> bool:
     if sorted(orders1) != sorted(orders2):
         return False
     gens = generating_sequence(g1, frozenset(range(n)))
-    expr = _expressions(g1, gens)
+    walk = _walk(g1, gens)
     lids2 = left_identities(r2)
     halo1 = sorted(r1.halo)
     candidates = [
         [y for y in range(n) if orders2[y] == orders1[g]] for g in gens
     ]
     for images in itertools.product(*candidates):
-        sigma = [g2.sum(images[gi] for gi in expr[x]) for x in range(n)]
+        sigma = _extend(g2.add, walk, images)
         if (
             sigma[r1.left_identity] in lids2
             and frozenset(sigma[x] for x in r1.halo) == r2.halo

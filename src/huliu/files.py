@@ -146,6 +146,8 @@ def emit_structure(structure: Emittable) -> str:
             "identity": structure.sigma,
         }
     elif isinstance(structure, FiniteCommRing):
+        if structure.order != structure.group.order:
+            raise InputError("unknown-kind", "cannot emit a ring on a proper subgroup")
         doc = {
             "kind": "ring",
             "order": structure.group.order,

@@ -15,54 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .constructions import FiniteCommRing, _ring_violations
 from .errors import InputError, TheoremAlarm
 from .ideals import subrng_violation
-from .kernel import (
-    FiniteAbelianGroup,
-    Law,
-    Subset,
-    Table,
-    _distributes,
-    _law_violations,
-    _multi_additive,
-    format_subset,
-    generating_sequence,
-)
+from .kernel import Subset, format_subset
 from .lcrng import LcRng
-
-
-@dataclass(frozen=True)
-class ComponentRing:
-    """The 0- or 1-part of a structure with its own product, in ambient indices."""
-
-    label: str
-    carrier: tuple[int, ...]
-    group: FiniteAbelianGroup
-    table: Table
-    identity: int
-
-    def plus(self, a: int, b: int) -> int:
-        return self.group.add[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.group.neg(a)
-
-    def minus(self, a: int, b: int) -> int:
-        return self.group.minus(a, b)
-
-    def times(self, a: int, b: int) -> int:
-        v = self.table[a][b]
-        if v < 0:
-            raise InputError("product-undefined", f"{self.label} product undefined at ({a},{b})")
-        return v
-
-    def power(self, u: int, k: int) -> int:
-        if k == 0:
-            return self.identity
-        acc = u
-        for _ in range(k - 1):
-            acc = self.times(acc, u)
-        return acc
 
 
 @dataclass(frozen=True)
@@ -73,23 +30,23 @@ class IntegralWitness:
     coefficients: tuple[int, ...]
 
 
-def component_ring(structure: LcRng, eps: int) -> ComponentRing:
-    """(R0, ·, e) or (R1, #, local identity); re-verifies the ring laws."""
+def component_ring(structure: LcRng, eps: int) -> FiniteCommRing:
+    """(R0, ·, e) or (R1, #, local identity) on its carrier; re-verifies the ring laws."""
     if eps == 0:
-        ring = ComponentRing(
-            label="component-0",
+        ring = FiniteCommRing(
+            structure.group,
+            structure.mul,
+            structure.left_identity,
+            "component-0",
             carrier=tuple(sorted(structure.r0)),
-            group=structure.group,
-            table=structure.mul,
-            identity=structure.left_identity,
         )
     elif eps == 1:
-        ring = ComponentRing(
-            label="component-1",
+        ring = FiniteCommRing(
+            structure.group,
+            structure.local_mul,
+            structure.local_identity,
+            "component-1",
             carrier=tuple(sorted(structure.r1)),
-            group=structure.group,
-            table=structure.local_mul,
-            identity=structure.local_identity,
         )
     else:
         raise InputError("bad-component", f"component index must be 0 or 1, got {eps}")
@@ -97,65 +54,18 @@ def component_ring(structure: LcRng, eps: int) -> ComponentRing:
     return ring
 
 
-def _verify_component_ring(ring: ComponentRing) -> None:
-    carrier = ring.carrier
-    members = set(carrier)
-    if ring.identity not in members:
-        raise TheoremAlarm("component-ring-invalid", f"{ring.label}: identity not in carrier")
-    add, mul, one = ring.group.add, ring.table, ring.identity
-    pairs, cube = (carrier, carrier), (carrier, carrier, carrier)
-    everywhere = [True] * len(carrier)
-    code = "component-ring-invalid"
-    # The carrier of a validated structure is a subgroup of its group.
-    # Associativity and distributivity are decided on its generators once
-    # every earlier law held: with the product closed and commutative, left
-    # distributivity makes it bi-additive.
-    try:
-        gens = generating_sequence(ring.group, members)
-    except InputError:  # not a subgroup, so the closure law fails first
-        trilinear = distributes = None
-    else:
-        trilinear = _multi_additive(("mul",), carrier, gens)
-        distributes = _distributes("mul", carrier, gens)
-
-    def closed(a: int) -> tuple:
-        return [mul[a][b] in members and add[a][b] in members for b in carrier], everywhere
-
-    def associative(a: int, b: int) -> tuple:
-        return [mul[mul[a][b]][c] for c in carrier], [mul[a][mul[b][c]] for c in carrier]
-
-    def distributive(a: int, b: int) -> tuple:
-        return [mul[a][add[b][c]] for c in carrier], [add[mul[a][b]][mul[a][c]] for c in carrier]
-
-    laws = (
-        Law(code, "not closed at ({},{})", pairs, closed),
-        Law(
-            code,
-            "not commutative at ({},{})",
-            pairs,
-            lambda a: ([mul[a][b] for b in carrier], [mul[b][a] for b in carrier]),
-        ),
-        Law(
-            code,
-            "identity fails at {}",
-            (carrier,),
-            lambda: ([mul[one][a] for a in carrier], [*carrier]),
-        ),
-        Law(code, "not associative at ({},{},{})", cube, associative, (code,), trilinear),
-        Law(code, "not distributive at ({},{},{})", cube, distributive, (code,), distributes),
-    )
-    bad = next(_law_violations(laws), None)
+def _verify_component_ring(ring: FiniteCommRing) -> None:
+    bad = next(_ring_violations(ring), None)
     if bad is not None:
-        raise TheoremAlarm(code, f"{ring.label}: {bad.message}")
+        raise TheoremAlarm("component-ring-invalid", f"{ring.name}: {bad}")
 
 
-def _check_subring(ring: ComponentRing, subring: Subset, require_unital: bool) -> list[int]:
+def _check_subring(ring: FiniteCommRing, subring: Subset) -> list[int]:
     members = sorted(subring)
-    carrier = set(ring.carrier)
     for s in members:
-        if s not in carrier:
+        if s not in ring.members:
             raise InputError(
-                "subring-outside-carrier", f"{s} is not in the {ring.label} carrier"
+                "subring-outside-carrier", f"{s} is not in the {ring.name} carrier"
             )
     if 0 not in subring:
         raise InputError("not-a-subring", "coefficient subring misses 0")
@@ -166,16 +76,16 @@ def _check_subring(ring: ComponentRing, subring: Subset, require_unital: bool) -
                     "not-a-subring",
                     f"coefficient subring not closed at ({a},{b})",
                 )
-    if require_unital and ring.identity not in subring:
+    if ring.one not in subring:
         raise InputError(
             "subring-not-unital",
             f"coefficient subring {{{format_subset(subring)}}} misses the identity "
-            f"{ring.identity} of {ring.label}",
+            f"{ring.one} of {ring.name}",
         )
     return members
 
 
-def witness_holds(ring: ComponentRing, u: int, witness: IntegralWitness) -> bool:
+def witness_holds(ring: FiniteCommRing, u: int, witness: IntegralWitness) -> bool:
     """Evaluates the monic relation in the ring and tests it against zero."""
     n = witness.degree
     acc = ring.power(u, n)
@@ -187,25 +97,25 @@ def witness_holds(ring: ComponentRing, u: int, witness: IntegralWitness) -> bool
 
 
 def integral_witness(
-    ring: ComponentRing,
+    ring: FiniteCommRing,
     subring: Iterable[int],
     u: int,
     max_degree: int | None = None,
-    require_unital: bool = True,
 ) -> IntegralWitness | None:
-    """Least-degree monic relation for u with coefficients in the subring.
+    """Least-degree monic relation for u with coefficients in the subring,
+    which must hold the ring's identity.
 
     The degree-k span is every s_{k-1}·u^(k-1) + ... + s_1·u + s_0 with the
-    s_i in the subring (the constant enters plainly, so no identity is
-    needed); u is integral of degree k exactly when u^k lies in that span.
+    s_i in the subring; u is integral of degree k exactly when u^k lies in
+    that span.
     """
     subset = frozenset(subring)
-    members = _check_subring(ring, subset, require_unital)
+    members = _check_subring(ring, subset)
     return _witness_search(ring, subset, members, u, max_degree)
 
 
 def _witness_search(
-    ring: ComponentRing,
+    ring: FiniteCommRing,
     subset: Subset,
     members: list[int],
     u: int,
@@ -213,15 +123,15 @@ def _witness_search(
 ) -> IntegralWitness | None:
     """integral_witness after its subring check: `members` is the checked
     subring, sorted."""
-    if u not in set(ring.carrier):
-        raise InputError("element-outside-carrier", f"{u} is not in the {ring.label} carrier")
+    if u not in ring.members:
+        raise InputError("element-outside-carrier", f"{u} is not in the {ring.name} carrier")
     if max_degree is None:
-        max_degree = len(ring.carrier)
+        max_degree = ring.order
     if max_degree < 1:
         return None
 
     spans: list[frozenset[int]] = [frozenset({0}), subset]
-    powers = [ring.identity, u]
+    powers = [ring.one, u]
 
     def extract(target: int, k: int) -> list[int] | None:
         if k == 0:
@@ -273,23 +183,22 @@ def _graded_search(
     subset: Subset,
     elements: Iterable[int],
     max_degree: int | None = None,
-    strict: bool = True,
-    require_unital: bool = True,
 ) -> Iterator[tuple[int, IntegralWitness | None, IntegralWitness | None]]:
     """(u, w0, w1) for each u of `elements`, lazily, with the witnesses of
     graded_witnesses.  The subrng, both component rings and both coefficient
     subrings depend only on the pair, so they are checked once, before the
-    first element is searched."""
-    bad = subrng_violation(structure, subset, strict=strict)
+    first element is searched.  A subrng holds e and 1₁, so both coefficient
+    subrings R·e and R ∩ halo are unital."""
+    bad = subrng_violation(structure, subset)
     if bad is not None:
         raise InputError("not-a-subrng", str(bad))
     if max_degree is None:
         max_degree = structure.order
     s0, s1 = component_subrings(structure, subset)
     ring0 = component_ring(structure, 0)
-    members0 = _check_subring(ring0, s0, require_unital)
+    members0 = _check_subring(ring0, s0)
     ring1 = component_ring(structure, 1)
-    members1 = _check_subring(ring1, s1, require_unital)
+    members1 = _check_subring(ring1, s1)
     for u in elements:
         w0 = _witness_search(ring0, s0, members0, structure.comp0(u), max_degree)
         w1 = _witness_search(ring1, s1, members1, structure.comp1(u), max_degree)
@@ -301,10 +210,9 @@ def graded_witnesses(
     subset: Subset,
     u: int,
     max_degree: int | None = None,
-    strict: bool = True,
 ) -> tuple[IntegralWitness | None, IntegralWitness | None]:
     """Minimal witnesses for both components of u over the subrng's parts."""
-    _, w0, w1 = next(_graded_search(structure, subset, (u,), max_degree, strict))
+    _, w0, w1 = next(_graded_search(structure, subset, (u,), max_degree))
     return w0, w1
 
 
@@ -313,10 +221,9 @@ def is_graded_integral(
     subset: Subset,
     u: int,
     max_degree: int | None = None,
-    strict: bool = True,
 ) -> bool:
     """True iff both components of u are integral over the matching parts."""
-    w0, w1 = graded_witnesses(structure, subset, u, max_degree=max_degree, strict=strict)
+    w0, w1 = graded_witnesses(structure, subset, u, max_degree=max_degree)
     return w0 is not None and w1 is not None
 
 

@@ -95,22 +95,26 @@ class LyingOverReport:
     passed: bool
 
 
-def embed_check(structure: LcRng, subset: Subset, strict: bool = True) -> SubrngPair:
+def embed_check(structure: LcRng, subset: Subset) -> SubrngPair:
     """Verified pair: subrng axioms, graded integrality of the extension,
     and validation of the re-indexed sub-structure.  The whole carrier is
     its own re-indexing, so the already validated ambient structure is
-    reused as the restricted one."""
+    reused as the restricted one.
+
+    Integrality is a theorem here: the powers of a component u repeat,
+    u^b = u^a with a < b no larger than the order, and u^b - u^a is monic
+    over the unital component subring.  A missing witness raises an alarm.
+    """
     bound = structure.order
-    search = _graded_search(
-        structure, subset, structure.elements(), bound, strict, require_unital=False
-    )
-    for u, w0, w1 in search:
+    for u, w0, w1 in _graded_search(structure, subset, structure.elements(), bound):
         if w0 is None or w1 is None:
             part = 0 if w0 is None else 1
-            raise InputError(
+            raise TheoremAlarm(
                 "not-graded-integral",
                 f"component {part} of element {u} has no monic relation over the "
                 f"subrng part (searched degrees up to {bound})",
+                dump=f"sub = {format_subset(subset)}\nambient mul = {structure.mul}\n"
+                f"ambient local_mul = {structure.local_mul}",
             )
 
     if len(subset) == structure.order:

@@ -19,6 +19,7 @@ from huliu import (
     InputError,
     LcRng,
     RawLcRng,
+    TheoremAlarm,
     Violation,
     component_ring,
     integral_witness,
@@ -552,13 +553,13 @@ def brute_dedup(structures: list[LcRng]) -> list[LcRng]:
     return kept
 
 
-def per_element_witnesses(structure: LcRng, subset, max_degree=None, strict: bool = True) -> list:
+def per_element_witnesses(structure: LcRng, subset, max_degree=None) -> list:
     """(u, w0, w1) for every element, as the `integral` subcommand once found
     them: each element re-checks the subrng, rebuilds and re-verifies both
     component rings and re-checks both coefficient subrings."""
     found = []
     for u in structure.elements():
-        bad = subrng_violation(structure, subset, strict=strict)
+        bad = subrng_violation(structure, subset)
         if bad is not None:
             raise InputError("not-a-subrng", str(bad))
         bound = structure.order if max_degree is None else max_degree
@@ -569,12 +570,11 @@ def per_element_witnesses(structure: LcRng, subset, max_degree=None, strict: boo
     return found
 
 
-def per_element_embed(structure: LcRng, subset, strict: bool = True) -> list:
+def per_element_embed(structure: LcRng, subset) -> list:
     """(u, w0, w1) for every element, as `embed_check` once searched them:
-    the component rings built once, each coefficient subring re-checked (not
-    necessarily unital) per element, and an InputError at the first element
-    without a witness."""
-    bad = subrng_violation(structure, subset, strict=strict)
+    the component rings built once, each coefficient subring re-checked per
+    element, and an alarm at the first element without a witness."""
+    bad = subrng_violation(structure, subset)
     if bad is not None:
         raise InputError("not-a-subrng", str(bad))
     s0, s1 = component_subrings(structure, subset)
@@ -583,17 +583,81 @@ def per_element_embed(structure: LcRng, subset, strict: bool = True) -> list:
     bound = structure.order
     found = []
     for u in structure.elements():
-        w0 = integral_witness(ring0, s0, structure.comp0(u), bound, require_unital=False)
-        w1 = integral_witness(ring1, s1, structure.comp1(u), bound, require_unital=False)
+        w0 = integral_witness(ring0, s0, structure.comp0(u), bound)
+        w1 = integral_witness(ring1, s1, structure.comp1(u), bound)
         if w0 is None or w1 is None:
-            part = 0 if w0 is None else 1
-            raise InputError(
-                "not-graded-integral",
-                f"component {part} of element {u} has no monic relation over the "
-                f"subrng part (searched degrees up to {bound})",
-            )
+            raise TheoremAlarm("not-graded-integral", f"element {u} of a strict pair")
         found.append((u, w0, w1))
     return found
+
+
+def span_degree(ring, subring, u, kmax) -> int | None:
+    """The least k <= kmax with u^k in {s_(k-1)·u^(k-1) + ... + s_1·u + s_0 :
+    s_i in the subring}, the degree-k span grown one power at a time; the
+    subring need not hold the identity."""
+    span = set(subring)
+    for k in range(1, kmax + 1):
+        power = ring.power(u, k)
+        if power in span:
+            return k
+        span = {ring.plus(v, ring.times(s, power)) for v in span for s in subring}
+    return None
+
+
+def lenient_embed(structure: LcRng, subset) -> None:
+    """The integrality check of a subrng read leniently (the local identity
+    may be missing): an InputError unless every component of every element
+    has a span degree up to the order over its coefficient subrng."""
+    bad = subrng_violation(structure, subset, strict=False)
+    if bad is not None:
+        raise InputError("not-a-subrng", str(bad))
+    s0, s1 = component_subrings(structure, subset)
+    ring0, ring1 = component_ring(structure, 0), component_ring(structure, 1)
+    n = structure.order
+    for u in structure.elements():
+        parts = ((ring0, s0, structure.comp0(u)), (ring1, s1, structure.comp1(u)))
+        for part, (ring, sub, x) in enumerate(parts):
+            if span_degree(ring, sub, x, n) is None:
+                raise InputError("not-graded-integral", f"component {part} of element {u}")
+
+
+def reference_null(a, b, phi, name: str = "") -> RawLcRng:
+    """The null construction A ⋉ B written out by its index formula
+    (a, b) -> a + |A|·b, table by table."""
+    na, nb = a.order, b.order
+    n = na * nb
+
+    def enc(x: int, y: int) -> int:
+        return x + na * y
+
+    add = tuple(
+        tuple(
+            enc(a.plus(u % na, v % na), b.plus(u // na, v // na)) for v in range(n)
+        )
+        for u in range(n)
+    )
+    mul = tuple(
+        tuple(
+            enc(a.times(u % na, v % na), b.times(phi(u % na), v // na)) for v in range(n)
+        )
+        for u in range(n)
+    )
+    loc = tuple(
+        tuple(
+            enc(0, b.times(u // na, v // na))
+            if u % na == 0 and v % na == 0
+            else SENTINEL
+            for v in range(n)
+        )
+        for u in range(n)
+    )
+    return RawLcRng(
+        group=FiniteAbelianGroup(order=n, add=add),
+        mul=mul,
+        left_identity=enc(a.one, 0),
+        local_mul=loc,
+        name=name or (f"null({a.name},{b.name})" if a.name and b.name else ""),
+    )
 
 
 def outcome(call):

@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 
@@ -22,9 +24,10 @@ from huliu import (
     validate_comm_ring,
     zmod,
 )
+from huliu.cli import _resolve_hom
 from huliu.constructions import _ring_structures
 from huliu.kernel import enumerate_subgroups, generating_sequence
-from oracles import brute_dedup, brute_ring_structures, is_ring_table
+from oracles import brute_dedup, brute_ring_structures, is_ring_table, reference_null
 
 
 def test_zmod_values():
@@ -82,6 +85,50 @@ def test_null_construction_invariants(cat):
 def test_builder_output_always_validates():
     raw = semidirect_null(zmod(3), zmod(3), identity_hom(zmod(3)))
     assert lcrng_violations(raw) == []
+
+
+def _null_tables(raw):
+    return raw.group.add, raw.mul, raw.local_mul, raw.left_identity, raw.name
+
+
+def _factor_lists(cap, prefix=()):
+    """Every sequence of factors >= 2 whose product is at most cap."""
+    product = math.prod(prefix)
+    if prefix:
+        yield prefix
+    for f in range(2, cap // product + 1):
+        yield from _factor_lists(cap, prefix + (f,))
+
+
+def test_null_construction_matches_the_index_formula(cat):
+    """semidirect_null assembles the triple on the factor subgroups of
+    ring_product(A, B); the tables are those of the index formula
+    (a, b) -> a + |A|·b, on the catalog and on every `construct` spec pair
+    of factors >= 2 up to order 64 that each hom recipe accepts."""
+    z2, z4, z6, z3 = zmod(2), zmod(4), zmod(6), zmod(3)
+    z2xz2 = ring_product(z2, z2)
+    recipes = {
+        "r4": (z2, z2, identity_hom(z2)),
+        "r8": (z4, z2, reduction_hom(z4, z2)),
+        "u8": (z2xz2, z2, projection_hom(z2xz2, z2, z2, 0)),
+        "r18": (z6, z3, reduction_hom(z6, z3)),
+    }
+    for name, (a, b, phi) in recipes.items():
+        assert _null_tables(cat[name]) == _null_tables(reference_null(a, b, phi, name)), name
+    accepted = Counter()
+    for fa, fb in itertools.product(_factor_lists(32), repeat=2):
+        if math.prod(fa + fb) > 64:
+            continue
+        a_spec, b_spec = ("zmod:" + "x".join(map(str, f)) for f in (fa, fb))
+        for hom in ("id", "reduction", "p1", "p2"):
+            try:
+                a, b, phi = _resolve_hom(a_spec, b_spec, hom)
+            except InputError:
+                continue
+            got, want = semidirect_null(a, b, phi), reference_null(a, b, phi)
+            assert _null_tables(got) == _null_tables(want), (a_spec, b_spec, hom)
+            accepted[hom] += 1
+    assert accepted == {"id": 13, "reduction": 133, "p1": 25, "p2": 25}
 
 
 def _brute_census(group):
@@ -240,6 +287,20 @@ def test_census_counts_match_the_splitting_triples(orders, census_of):
     assert sorted(len(s.halo) for s in census) == halo_orders
 
 
+def _table_and_one(group, carrier, ring):
+    """A census ring as the oracle's (table, one): its products on the
+    carrier; it lies on that carrier of that group and is undefined off it."""
+    members = sorted(carrier)
+    assert ring.group is group and ring.carrier == tuple(members)
+    assert all(
+        ring.mul[x][y] == SENTINEL
+        for x in range(group.order)
+        for y in range(group.order)
+        if x not in carrier or y not in carrier
+    )
+    return {(x, y): ring.mul[x][y] for x in members for y in members}, ring.one
+
+
 @pytest.mark.parametrize("orders", [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 6)], ids=_spec)
 def test_ring_structures_match_the_full_check_oracle(orders):
     group = direct_sum_group(orders)
@@ -247,9 +308,9 @@ def test_ring_structures_match_the_full_check_oracle(orders):
     if orders == (2, 2, 2):
         carriers = carriers[:-1]  # the whole Z2^3: test_ring_structures_on_the_whole_z2_cubed
     for carrier in carriers:
-        assert list(_ring_structures(group, carrier)) == list(
-            brute_ring_structures(group, carrier)
-        ), sorted(carrier)
+        assert [
+            _table_and_one(group, carrier, ring) for ring in _ring_structures(group, carrier)
+        ] == list(brute_ring_structures(group, carrier)), sorted(carrier)
 
 
 def test_ring_structures_on_the_whole_z2_cubed():
@@ -260,7 +321,7 @@ def test_ring_structures_on_the_whole_z2_cubed():
     group = direct_sum_group([2, 2, 2])
     carrier = frozenset(range(8))
     gens = generating_sequence(group, carrier)
-    found = list(_ring_structures(group, carrier))
+    found = [_table_and_one(group, carrier, ring) for ring in _ring_structures(group, carrier)]
     assert len(found) == 448
     constants = [tuple(t[(g, h)] for i, g in enumerate(gens) for h in gens[i:]) for t, _ in found]
     assert constants == sorted(set(constants))

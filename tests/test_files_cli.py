@@ -5,6 +5,7 @@ import pytest
 
 from huliu import (
     InputError,
+    component_ring,
     emit_structure,
     from_lcrng,
     parse_structure,
@@ -32,6 +33,9 @@ def test_round_trip_hlring_and_ring(r4):
     assert parse_structure(emit_structure(ring)) == ring.raw()
     z6 = zmod(6)
     assert parse_structure(emit_structure(z6)) == z6
+    with pytest.raises(InputError) as err:
+        emit_structure(component_ring(r4, 0))  # a ring on a proper subgroup
+    assert err.value.code == "unknown-kind"
 
 
 def test_round_trip_preserves_name_and_metadata(r4):
@@ -147,6 +151,8 @@ def test_cli_lying_over(files, capsys):
     assert run(["lying-over", files["r4"], "--subset", "0,1,2"]) == 2
     err = capsys.readouterr().err
     assert "not-a-subrng" in err
+    assert run(["lying-over", files["r4"], "--lenient"]) == 2
+    assert "unrecognized arguments: --lenient" in capsys.readouterr().err
 
 
 def test_cli_lying_over_diagonal(files, tmp_path, capsys, u8):
@@ -160,13 +166,25 @@ def test_cli_lying_over_diagonal(files, tmp_path, capsys, u8):
     ]
 
 
+def test_cli_integral_reports_a_bound_too_low_as_missing(tmp_path, capsys, u8):
+    p = tmp_path / "u8.json"
+    p.write_text(emit_structure(u8), encoding="utf-8")
+    argv = ["integral", str(p), "--subset", "0,3,4,7", "--max-degree", "1", "--format", "csv"]
+    assert run(argv) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows == ["0;1;1", "1;-;1", "2;-;1", "3;1;1", "4;1;1", "5;-;1", "6;-;1", "7;1;1"]
+
+
 def test_cli_integral(files, capsys):
     assert run(["integral", files["r8"], "--format", "csv"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert all(r.split(";")[1] == "1" and r.split(";")[2] == "1" for r in rows)
     assert run(["integral", files["r8"], "--subset", "0,1,2,3", "--lenient"]) == 2
     err = capsys.readouterr().err
-    assert "subring-not-unital" in err
+    assert "unrecognized arguments: --lenient" in err
+    assert run(["integral", files["r8"], "--subset", "0,1,2,3"]) == 2
+    err = capsys.readouterr().err
+    assert "not-a-subrng: missing-local-identity" in err
 
 
 @pytest.mark.parametrize("degree", ["0", "-3"])
@@ -208,6 +226,16 @@ def test_cli_enumerate(capsys):
     assert run(["enumerate", "--group", "zmod:2"]) == 0
     out = capsys.readouterr().out
     assert "0 structures" in out
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_cli_enumerate_rejects_max_candidates_below_one(capsys, k):
+    assert run(["enumerate", "--group", "zmod:2x2", "--max-candidates", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad-max-candidates: --max-candidates must be >= 1, got {k}\n"
+    assert run(["enumerate", "--group", "zmod:2x2", "--max-candidates", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "0;1;0,2\n"
 
 
 def test_cli_rejects_oversized_specs_before_building_tables(capsys, monkeypatch):

@@ -33,7 +33,7 @@ from huliu import (
     hlring_violations,
     lcrng_violations,
 )
-from huliu.integrality import ComponentRing, _verify_component_ring
+from huliu.integrality import _verify_component_ring
 from huliu.kernel import group_violations
 
 from oracles import full_scans
@@ -190,11 +190,11 @@ def test_component_ring_verification_matches_full_scans():
         for case in range(CASES):
             table = _monoid(p**k) if case % 8 == 0 else _products(rand, p, k, unital=True)
             carrier = tuple(sorted(rand.choice(carriers)))
-            ring = ComponentRing("component-0", carrier, group, table, identity=1)
+            ring = FiniteCommRing(group, table, 1, "component-0", carrier=carrier)
             outcomes.add(_same_as_full_scan(_verify_component_ring, ring))
     messages = {o[1].split(" at ")[0] for o in outcomes if o is not None}
     assert None in outcomes
-    assert {"component-0: not associative", "component-0: not distributive"} <= messages
+    assert {"component-0: ring-not-associative", "component-0: ring-left-distributive"} <= messages
 
 
 def _loop(rand, n):

@@ -4,17 +4,19 @@ import pytest
 
 import huliu.cli
 import huliu.ideals
+import huliu.integrality
 import huliu.lyingover
 from huliu import (
     InputError,
+    TheoremAlarm,
     LyingOverRow,
     complement_closure_prime,
     as_graded_ideal,
     component_ring,
     embed_check,
     emit_structure,
+    enumerate_ideals,
     enumerate_subgroups,
-    integral_witness,
     is_subrng,
     is_huliu_prime,
     lying_over,
@@ -25,9 +27,16 @@ from huliu import (
     verify_lying_over_all,
 )
 from huliu.cli import run
-from huliu.integrality import _graded_search
+from huliu.integrality import _graded_search, component_subrings
 
-from oracles import outcome, per_element_embed
+from oracles import (
+    brute_ideals,
+    brute_spectrum,
+    lenient_embed,
+    outcome,
+    per_element_embed,
+    span_degree,
+)
 
 
 def _identity_pair(structure):
@@ -52,12 +61,6 @@ def test_embed_check_rejects_non_subrngs(u8):
     assert err.value.code == "not-a-subrng"
 
 
-def test_lenient_zero_halo_part_fails_integrality(r8):
-    with pytest.raises(InputError) as err:
-        embed_check(r8, frozenset({0, 1, 2, 3}), strict=False)
-    assert err.value.code == "not-graded-integral"
-
-
 # Every abelian group of order <= 16, one presentation each; the cyclic ones carry none.
 GROUPS_TO_16 = [(n,) for n in range(1, 17)] + [
     (2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2)
@@ -68,7 +71,8 @@ def test_lenient_only_subrngs_are_never_graded_integral(cat, census_of):
     """A subrng S that misses the local identity 1_1 has S_1·1_1 = S_1, so
     every element of a degree-k span over S_1 lies in S_1 and 1_1 = 1_1^k is
     never in it: 1_1 has no monic relation over S_1, and a lenient reading
-    accepts no more pairs than the strict one."""
+    accepts no more pairs than the strict one, which refuses S outright.
+    The lenient side is the span search of tests/oracles.py."""
     structures = list(cat.values()) + [s for g in GROUPS_TO_16 for s in census_of(g)]
     assert len(structures) == 4 + 39
     checked = 0
@@ -77,13 +81,73 @@ def test_lenient_only_subrngs_are_never_graded_integral(cat, census_of):
         for subset in enumerate_subgroups(s.group):
             if not is_subrng(s, subset, strict=False) or is_subrng(s, subset):
                 continue
-            with pytest.raises(InputError) as err:
-                embed_check(s, subset, strict=False)
-            assert err.value.code == "not-graded-integral"
+            assert outcome(lambda: lenient_embed(s, subset))[0] == "not-graded-integral"
             s1 = subset & s.halo
-            assert integral_witness(halo_ring, s1, s.local_identity, require_unital=False) is None
+            assert span_degree(halo_ring, s1, s.local_identity, s.order) is None
+            assert outcome(lambda: embed_check(s, subset))[0] == "not-a-subrng"
             checked += 1
     assert checked == 125  # 5 in the catalog, 120 in the census
+
+
+# The non-cyclic groups of order <= 16 but Z2^4, Z2xZ6 under two presentations.
+UNITAL_GROUPS = [(2, 2), (2, 4), (3, 3), (2, 6), (2, 8), (4, 4), (2, 2, 2), (2, 2, 3), (2, 2, 4)]
+
+
+def test_strict_subrngs_have_unital_component_subrings(cat, census_of):
+    """A strict subrng S holds e and 1_1, so S·e holds e·e = e and S ∩ halo
+    holds 1_1: the coefficient subrings of every strict pair are unital, and
+    the integrality check needs no lenient reading of them."""
+    structures = list(cat.values()) + [s for g in UNITAL_GROUPS for s in census_of(g)]
+    checked = 0
+    for s in structures:
+        for subset in enumerate_subgroups(s.group):
+            if is_subrng(s, subset):
+                s0, s1 = component_subrings(s, subset)
+                assert s.left_identity in s0 and s.local_identity in s1, (s.name, sorted(subset))
+                checked += 1
+    assert checked == 36
+
+
+def test_strict_pair_without_a_witness_raises_an_alarm(u8, monkeypatch, tmp_path, capsys):
+    """A strict pair is graded integral by a theorem, so a missing witness
+    is an alarm with a dump, not an input error; here the search is made to
+    find none."""
+    monkeypatch.setattr(huliu.integrality, "_witness_search", lambda *args: None)
+    with pytest.raises(TheoremAlarm) as err:
+        embed_check(u8, frozenset({0, 3, 4, 7}))
+    assert err.value.code == "not-graded-integral"
+    assert err.value.dump.startswith("sub = 0,3,4,7\nambient mul = ")
+    path = tmp_path / "u8.json"
+    path.write_text(emit_structure(u8), encoding="utf-8")
+    assert run(["lying-over", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "alarm: not-graded-integral: component 0 of element 0 has no monic relation"
+    )
+
+
+def test_shared_lattices_match_the_brute_oracles(cat, census_of):
+    """enumerate_ideals, spectrum, and the lattices a pair shares (the
+    ambient ideals and spectrum, and sub_primes) agree with the subset scans
+    of tests/oracles.py on the catalog and on every census class of order
+    <= 8, for every strict subrng."""
+    small = [g for g in GROUPS_TO_16 if math.prod(g) <= 8]
+    structures = list(cat.values()) + [s for g in small for s in census_of(g)]
+    assert len(structures) == 4 + 7
+    pairs = 0
+    for s in structures:
+        ideals, primes = brute_ideals(s), brute_spectrum(s)
+        assert [i.carrier for i in enumerate_ideals(s)] == ideals, s.name
+        assert spectrum(s).carriers() == primes, s.name
+        for subset in enumerate_subgroups(s.group):
+            if not is_subrng(s, subset):
+                continue
+            pair = embed_check(s, subset)
+            assert [i.carrier for i in pair.ambient_ideals] == ideals
+            assert pair.ambient_spectrum.carriers() == primes
+            want = [pair.to_ambient(p) for p in brute_spectrum(pair.restricted)]
+            assert sub_primes(pair) == want, (s.name, sorted(subset))
+            pairs += 1
+    assert pairs == 17
 
 
 def test_embed_check_matches_the_per_element_loop(cat, census_of):
@@ -93,19 +157,18 @@ def test_embed_check_matches_the_per_element_loop(cat, census_of):
     small = [g for g in GROUPS_TO_16 if math.prod(g) <= 8]
     structures = list(cat.values()) + [s for g in small for s in census_of(g)]
 
-    def new(s, subset, strict):
-        embed_check(s, subset, strict=strict)
-        return list(_graded_search(s, subset, s.elements(), s.order, strict, require_unital=False))
+    def new(s, subset):
+        embed_check(s, subset)
+        return list(_graded_search(s, subset, s.elements(), s.order))
 
     accepted = 0
     for s in structures:
         for subset in enumerate_subgroups(s.group):
-            for strict in (True, False):
-                got = outcome(lambda: new(s, subset, strict))
-                want = outcome(lambda: per_element_embed(s, subset, strict))
-                assert got == want, (s.name, sorted(subset), strict)
-                accepted += isinstance(got, list)
-                assert isinstance(got, list) == is_subrng(s, subset), (s.name, sorted(subset))
+            got = outcome(lambda: new(s, subset))
+            want = outcome(lambda: per_element_embed(s, subset))
+            assert got == want, (s.name, sorted(subset))
+            accepted += isinstance(got, list)
+            assert isinstance(got, list) == is_subrng(s, subset), (s.name, sorted(subset))
     assert accepted
 
 
