@@ -236,8 +236,20 @@ def zmod(n: int) -> FiniteCommRing:
     )
 
 
+def _require_whole(*rings: FiniteCommRing) -> None:
+    """InputError unless each ring's carrier is its whole group."""
+    for ring in rings:
+        if ring.order != ring.group.order:
+            raise InputError(
+                "ring-not-on-whole-group",
+                f"{ring.name or 'ring'} lives on {ring.order} of the {ring.group.order} "
+                "elements of its group; this needs a ring on its whole group",
+            )
+
+
 def ring_product(a: FiniteCommRing, b: FiniteCommRing) -> FiniteCommRing:
     """Componentwise product of rings on their whole groups; index (x, y) -> x + |A|·y."""
+    _require_whole(a, b)
     na, nb = a.order, b.order
     n = na * nb
 
@@ -270,6 +282,7 @@ def ring_product(a: FiniteCommRing, b: FiniteCommRing) -> FiniteCommRing:
 
 def ring_hom(source: FiniteCommRing, target: FiniteCommRing, mapping) -> RingHom:
     """A unital hom between rings on their whole groups, checked on every pair."""
+    _require_whole(source, target)
     m = tuple(int(x) for x in mapping)
     if len(m) != source.order:
         raise InputError("hom-shape-mismatch", "mapping length differs from source order")

@@ -7,6 +7,15 @@ component rings stay unital for the integrality machinery).  Primality is
 the componentwise condition: products landing in the ideal force a factor
 into the matching component, for · on the 0-part against everything and
 for # on the halo.
+
+The ideal lattice is grown, not filtered: every ideal is the sum of the
+principal ideals <x> of its elements, and a sum of ideals is an ideal, so
+the lattice is the sums of the principal ideals (`kernel._lattice`, the loop
+that also grows the subgroup lattice).  <x> is closed from x by products
+with additive generators only, which is exact because validation has
+proved · distributive on both sides and # distributive and commutative on
+the halo.  `ideal_violation` stays the test of a given subset, with the
+first witness in row-major order.
 """
 
 from __future__ import annotations
@@ -19,9 +28,12 @@ from .kernel import (
     Law,
     Subset,
     Table,
+    _cyclic,
+    _lattice,
     _law_violations,
-    enumerate_subgroups,
+    _sum,
     format_subset,
+    generating_sequence,
 )
 from .lcrng import LcRng
 
@@ -203,12 +215,53 @@ def complement_closure_prime(structure: LcRng, ideal: GradedIdeal) -> bool:
     return complement_closure_violation(structure, ideal) is None
 
 
+def _principal_ideals(structure: LcRng) -> list[Subset]:
+    """<x>, the least ideal containing x, for every element x in index order.
+
+    <x> is grown from the multiples of x: every element y added is
+    multiplied on both sides by the carrier's additive generators, and its
+    halo component y - y·e by the halo's, under #.  A product outside the
+    ideal so far is added with its multiples.  That suffices because the
+    products are additive in each factor (· and # distribute; # commutes)
+    and y -> y - y·e is additive: the elements added generate the ideal,
+    and their halo components its halo part.
+    """
+    group, mul, e = structure.group, structure.mul, structure.left_identity
+    loc = structure.local_mul
+    gens = generating_sequence(group, frozenset(structure.elements()))
+    halo_gens = generating_sequence(group, structure.halo)
+
+    def principal(x: int) -> Subset:
+        ideal, added = _cyclic(group, x), [x]
+        while added:
+            y = added.pop()
+            halo_row = loc[group.minus(y, mul[y][e])]
+            products = (
+                *(mul[g][y] for g in gens),
+                *(mul[y][g] for g in gens),
+                *(halo_row[h] for h in halo_gens),
+            )
+            for z in products:
+                if z not in ideal:
+                    ideal = _sum(group, ideal, _cyclic(group, z))
+                    added.append(z)
+        return ideal
+
+    return [principal(x) for x in structure.elements()]
+
+
 def enumerate_ideals(structure: LcRng) -> list[GradedIdeal]:
-    """Every ideal, canonically ordered by size then membership."""
+    """Every ideal, canonically ordered by size then membership.
+
+    An ideal is the sum of the principal ideals of its elements, and a sum
+    of ideals is an ideal, so the lattice is grown as the sums of the
+    principal ideals.  Every ideal I is graded (I·e lies in I), so its
+    components are its meets with R0 and the halo.
+    """
+    r0, r1 = structure.r0, structure.r1
     return [
-        GradedIdeal(subgroup, *ideal_components(structure, subgroup), kind="ideal")
-        for subgroup in enumerate_subgroups(structure.group)
-        if ideal_violation(structure, subgroup) is None
+        GradedIdeal(ideal, ideal & r0, ideal & r1, kind="ideal")
+        for ideal in _lattice(structure.group, _principal_ideals(structure))
     ]
 
 

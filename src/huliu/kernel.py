@@ -3,7 +3,9 @@ engine that every validator runs: a law is decided on additive generators
 where it can be, and scanned in full only to place its first witness.
 Subgroups are sums of cyclic subgroups:
 H + <x> = {h + k·x} is already a subgroup, so one multiples walk serves
-closure, the subgroup lattice, generator sequences and element orders.
+closure, the subgroup lattice, generator sequences and element orders, and
+one loop grows a lattice as the sums of its atoms (cyclic subgroups here,
+principal ideals in ideals.py).
 
 Elements are indices 0..n-1 and the additive zero is pinned to index 0,
 so subsets and witnesses are stable across tools and file round-trips.
@@ -382,9 +384,15 @@ def _cyclic(group: FiniteAbelianGroup, x: int) -> Subset:
 
 
 def _sum(group: FiniteAbelianGroup, h: Subset, k: Subset) -> Subset:
-    """h + k = {a + b}, a subgroup whenever h and k are."""
-    add = group.add
-    return frozenset(add[a][b] for a in h for b in k)
+    """h + k = {a + b} for a subgroup h, a subgroup whenever k is one.
+
+    It is a union of cosets b + h, and b + h is already in it once b is, so
+    only one b of each coset is added to h."""
+    out = set(h)
+    for b in k:
+        if b not in out:
+            out.update(map(group.add[b].__getitem__, h))
+    return frozenset(out)
 
 
 def subgroup_closure(group: FiniteAbelianGroup, seed: Iterable[int]) -> Subset:
@@ -421,19 +429,25 @@ def parse_subset(text: str, order: int | None = None) -> Subset:
 def enumerate_subgroups(group: FiniteAbelianGroup) -> list[Subset]:
     """All subgroups, each once, sorted by size then membership.
 
-    Grown as sums of cyclic subgroups, adding each one to every subgroup
-    found, rather than by scanning all 2^n subsets; the subset scan
+    Every subgroup is a sum of cyclic subgroups, so the lattice is grown
+    from them rather than by scanning all 2^n subsets; the subset scan
     survives as the test oracle for small orders.
     """
-    cyclics = {_cyclic(group, x) for x in group.elements()}
+    return _lattice(group, (_cyclic(group, x) for x in group.elements()))
+
+
+def _lattice(group: FiniteAbelianGroup, atoms: Iterable[Subset]) -> list[Subset]:
+    """{0} and every sum of atoms (subgroups), each once, sorted by size then
+    membership: each atom is added to every sum found that does not hold it."""
+    atoms = set(atoms)
     trivial = frozenset({0})
     seen = {trivial}
     frontier = [trivial]
     while frontier:
         base = frontier.pop()
-        for c in cyclics:
-            if not c <= base:
-                bigger = _sum(group, base, c)
+        for atom in atoms:
+            if not atom <= base:
+                bigger = _sum(group, base, atom)
                 if bigger not in seen:
                     seen.add(bigger)
                     frontier.append(bigger)

@@ -2,9 +2,9 @@
 
 Everything here recomputes results straight from the defining conditions,
 scanning all subsets/tuples, so the library's cleverer routes (subgroups
-as sums of cyclic subgroups, grading-aware predicates, span-based witness
-search, the classification-based census) are checked against dumb
-exhaustive code.
+as sums of cyclic subgroups, ideals as sums of principal ideals,
+grading-aware predicates, span-based witness search, the
+classification-based census) are checked against dumb exhaustive code.
 """
 
 from __future__ import annotations
@@ -16,12 +16,15 @@ from dataclasses import replace
 from huliu import (
     SENTINEL,
     FiniteAbelianGroup,
+    GradedIdeal,
     InputError,
     LcRng,
     RawLcRng,
     TheoremAlarm,
     Violation,
     component_ring,
+    enumerate_subgroups,
+    ideal_components,
     integral_witness,
     lcrng_isomorphic,
     subrng_violation,
@@ -29,6 +32,11 @@ from huliu import (
 from huliu import kernel
 from huliu.integrality import component_subrings
 from huliu.kernel import generating_sequence, subset_key
+
+# Every abelian group of order <= 16, one presentation each; the cyclic ones carry none.
+GROUPS_TO_16 = [(n,) for n in range(1, 17)] + [
+    (2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2)
+]
 
 
 def brute_subgroups(group: FiniteAbelianGroup) -> list[frozenset[int]]:
@@ -88,10 +96,18 @@ def brute_ideals(structure: LcRng) -> list[frozenset[int]]:
     if structure.order <= 10:
         candidates = brute_subgroups(structure.group)
     else:
-        from huliu import enumerate_subgroups
-
         candidates = enumerate_subgroups(structure.group)
     return [s for s in candidates if brute_is_ideal(structure, s)]
+
+
+def filtered_ideals(structure: LcRng) -> list[GradedIdeal]:
+    """The ideal lattice by filtering the subgroup lattice: every subgroup
+    that brute_is_ideal accepts, split along the grading."""
+    return [
+        GradedIdeal(s, *ideal_components(structure, s), kind="ideal")
+        for s in enumerate_subgroups(structure.group)
+        if brute_is_ideal(structure, s)
+    ]
 
 
 def brute_spectrum(structure: LcRng) -> list[frozenset[int]]:

@@ -8,6 +8,7 @@ from huliu import (
     InputError,
     RawLcRng,
     SENTINEL,
+    component_ring,
     direct_sum_group,
     emit_structure,
     enumerate_lcrngs,
@@ -64,6 +65,24 @@ def test_hom_validation():
         reduction_hom(zmod(4), zmod(3))
     assert err.value.code == "no-canonical-hom"
     assert identity_hom(zmod(5)).mapping == (0, 1, 2, 3, 4)
+
+
+def test_rings_on_proper_subgroups_are_refused_by_whole_group_builders(r8):
+    """The halo ring of r8 lives on {0, 4} of Z8 x Z2's eight elements."""
+    halo_ring = component_ring(r8, 1)
+    z2 = zmod(2)
+    calls = [
+        lambda: identity_hom(halo_ring),
+        lambda: ring_hom(z2, halo_ring, (0, 4)),
+        lambda: ring_hom(halo_ring, z2, tuple(range(8))),
+        lambda: ring_product(halo_ring, z2),
+        lambda: ring_product(z2, halo_ring),
+    ]
+    for call in calls:
+        with pytest.raises(InputError) as err:
+            call()
+        assert err.value.code == "ring-not-on-whole-group"
+        assert "component-1 lives on 2 of the 8 elements" in str(err.value)
 
 
 def test_null_construction_invariants(cat):

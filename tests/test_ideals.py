@@ -6,18 +6,30 @@ from huliu import (
     as_graded_ideal,
     complement_closure_prime,
     enumerate_ideals,
+    identity_hom,
     ideal_components,
     ideal_violation,
     is_huliu_prime,
     is_ideal,
     is_subrng,
+    projection_hom,
+    ring_product,
+    semidirect_null,
     spectrum,
     subrng_violation,
+    validate_lcrng,
+    zmod,
 )
-from huliu.ideals import prime_violation
+from huliu.ideals import _principal_ideals, prime_violation
 from huliu.kernel import subset_key
 
-from oracles import brute_ideals, brute_is_prime, brute_spectrum
+from oracles import (
+    GROUPS_TO_16,
+    brute_ideals,
+    brute_is_prime,
+    brute_spectrum,
+    filtered_ideals,
+)
 
 
 def test_r4_ideal_examples(r4):
@@ -108,6 +120,39 @@ def test_enumerated_ideals_match_oracle_and_respect_grading(cat):
             rebuilt = {s.plus(a, b) for a in ideal.i0 for b in ideal.i1}
             assert rebuilt == set(ideal.carrier)
             assert len(ideal.i0) * len(ideal.i1) == len(ideal.carrier)
+
+
+def test_ideal_lattice_matches_the_subgroup_filter(cat, census_of):
+    """The lattice grown from principal ideals is the subgroup lattice
+    filtered by the brute-force ideal test, components included, on the
+    catalog, every census class of order <= 16, null(Z8,Z8,id) and
+    null(Z2^3,Z2^2) (374 subgroups, 18 ideals)."""
+    z2, z8 = zmod(2), zmod(8)
+    z2x2 = ring_product(z2, z2)
+    z2x3 = ring_product(z2x2, z2)
+    nulls = [
+        semidirect_null(z8, z8, identity_hom(z8), name="null(Z8,Z8,id)"),
+        semidirect_null(z2x3, z2x2, projection_hom(z2x3, z2x2, z2, 0), name="null(Z2^3,Z2^2)"),
+    ]
+    structures = [
+        *cat.values(),
+        *(s for g in GROUPS_TO_16 for s in census_of(g)),
+        *map(validate_lcrng, nulls),
+    ]
+    assert len(structures) == 4 + 39 + 2
+    for s in structures:
+        assert enumerate_ideals(s) == filtered_ideals(s), s.name
+    assert len(enumerate_ideals(structures[-1])) == 18
+
+
+def test_principal_ideals_are_the_least_ideals_containing_each_element(cat, census_of):
+    structures = [*cat.values(), *(s for g in GROUPS_TO_16 for s in census_of(g))]
+    for s in structures:
+        ideals = brute_ideals(s)
+        for x, principal in enumerate(_principal_ideals(s)):
+            holding = [i for i in ideals if x in i]
+            assert principal in holding, (s.name, x)
+            assert principal == frozenset.intersection(*holding), (s.name, x)
 
 
 def test_prime_predicate_equals_complement_closure_everywhere(cat):

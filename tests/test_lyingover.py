@@ -30,6 +30,7 @@ from huliu.cli import run
 from huliu.integrality import _graded_search, component_subrings
 
 from oracles import (
+    GROUPS_TO_16,
     brute_ideals,
     brute_spectrum,
     lenient_embed,
@@ -59,12 +60,6 @@ def test_embed_check_rejects_non_subrngs(u8):
     with pytest.raises(InputError) as err:
         embed_check(u8, frozenset({0, 1, 2, 3, 4}))
     assert err.value.code == "not-a-subrng"
-
-
-# Every abelian group of order <= 16, one presentation each; the cyclic ones carry none.
-GROUPS_TO_16 = [(n,) for n in range(1, 17)] + [
-    (2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2)
-]
 
 
 def test_lenient_only_subrngs_are_never_graded_integral(cat, census_of):
@@ -337,17 +332,17 @@ def test_each_pair_builds_one_ambient_and_one_restricted_lattice(pairs, monkeypa
     """The identity pair's restricted structure has the ambient indices, so
     its subrng primes are the ambient ones: one lattice instead of two."""
     built = []
-    enumerate_subgroups = huliu.ideals.enumerate_subgroups
+    lattice = huliu.ideals._lattice
 
-    def counted(group):
+    def counted(group, atoms):
         built.append(group)
-        return enumerate_subgroups(group)
+        return lattice(group, atoms)
 
     def assert_built(*groups):
         assert len(built) == len(groups), name
         assert all(b is g for b, g in zip(built, groups)), name
 
-    monkeypatch.setattr(huliu.ideals, "enumerate_subgroups", counted)
+    monkeypatch.setattr(huliu.ideals, "_lattice", counted)
     for name, structure, sub in pairs:
         identity = name.endswith("-identity")
         pair = embed_check(structure, sub)
