@@ -14,7 +14,7 @@ import functools
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .constructions import (
     FiniteCommRing,
@@ -39,7 +39,7 @@ from .hlring import (
     is_hl_commutative,
     validate_hlring,
 )
-from .ideals import enumerate_ideals, is_huliu_prime, spectrum
+from .ideals import GradedIdeal, enumerate_ideals, is_huliu_prime, spectrum
 from .integrality import _graded_search
 from .kernel import GROUP_CHECKS, format_subset, parse_subset
 from .lcrng import LCRNG_CHECKS, RawLcRng, decompose, lcrng_violations, validate_lcrng
@@ -61,7 +61,7 @@ def _emit_report(
     verdict: str,
     text_rows: bool = True,
 ) -> int:
-    if getattr(args, "format", "text") == "csv":
+    if args.format == "csv":
         for row in rows:
             print(row)
     else:
@@ -80,10 +80,6 @@ def _axiom_lines(
 ) -> tuple[list[str], list[str], bool]:
     by_code = {v.code: v for v in violations}
     lines, rows = [], []
-
-    def witness_field(v: Violation) -> str:
-        return ",".join(str(i) for i in v.witness)
-
     for code in (*GROUP_CHECKS, *checks):
         v = by_code.get(code)
         if v is None:
@@ -91,11 +87,11 @@ def _axiom_lines(
             rows.append(f"{code};ok;")
         else:
             lines.append(f"violation {v}")
-            rows.append(f"{code};fail;{witness_field(v)}")
+            rows.append(f"{code};fail;{','.join(map(str, v.witness))}")
     for v in violations:
         if v.code not in GROUP_CHECKS and v.code not in checks:
             lines.append(f"violation {v}")
-            rows.append(f"{v.code};fail;{witness_field(v)}")
+            rows.append(f"{v.code};fail;{','.join(map(str, v.witness))}")
     return lines, rows, not violations
 
 
@@ -131,60 +127,47 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return _emit_report(args, f"decompose {args.file}", lines, rows, "pass")
 
 
-def _ideal_row(structure, ideal) -> str:
-    prime = "yes" if is_huliu_prime(structure, ideal) else "no"
-    return (
-        f"{format_subset(ideal.carrier)};{prime};"
-        f"{format_subset(ideal.i0)}|{format_subset(ideal.i1)}"
-    )
+def _ideal_row(ideal: GradedIdeal, prime: bool) -> str:
+    flag, i0, i1 = "yes" if prime else "no", format_subset(ideal.i0), format_subset(ideal.i1)
+    return f"{format_subset(ideal.carrier)};{flag};{i0}|{i1}"
 
 
 def _cmd_ideals(args: argparse.Namespace) -> int:
     structure = validate_lcrng(_parse_lcrng_file(args.file))
-    rows = [_ideal_row(structure, ideal) for ideal in enumerate_ideals(structure)]
+    rows = [_ideal_row(i, is_huliu_prime(structure, i)) for i in enumerate_ideals(structure)]
     lines = [f"{len(rows)} ideals"]
     return _emit_report(args, f"ideals {args.file}", lines, rows, "pass")
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     structure = validate_lcrng(_parse_lcrng_file(args.file))
-    primes = spectrum(structure).primes
-    rows = [
-        f"{format_subset(p.carrier)};yes;{format_subset(p.i0)}|{format_subset(p.i1)}"
-        for p in primes
-    ]
+    rows = [_ideal_row(p, True) for p in spectrum(structure).primes]
     lines = [f"{len(rows)} Hu-Liu prime ideals"]
     return _emit_report(args, f"spectrum {args.file}", lines, rows, "pass")
+
+
+def _subset(args: argparse.Namespace, structure) -> frozenset[int]:
+    """The --subset indices, or the whole carrier when none are given."""
+    if args.subset:
+        return parse_subset(args.subset, structure.order)
+    return frozenset(structure.elements())
 
 
 def _cmd_integral(args: argparse.Namespace) -> int:
     if args.max_degree is not None and args.max_degree < 1:
         raise InputError("bad-max-degree", f"--max-degree must be >= 1, got {args.max_degree}")
     structure = validate_lcrng(_parse_lcrng_file(args.file))
-    subset = (
-        parse_subset(args.subset, structure.order)
-        if args.subset
-        else frozenset(range(structure.order))
-    )
-    rows = []
-    all_found = True
-    for u, w0, w1 in _graded_search(structure, subset, structure.elements(), args.max_degree):
-        d0 = str(w0.degree) if w0 else "-"
-        d1 = str(w1.degree) if w1 else "-"
-        all_found = all_found and w0 is not None and w1 is not None
-        rows.append(f"{u};{d0};{d1}")
+    subset = _subset(args, structure)
+    found = list(_graded_search(structure, subset, structure.elements(), args.max_degree))
+    rows = [f"{u};{w0.degree if w0 else '-'};{w1.degree if w1 else '-'}" for u, w0, w1 in found]
     lines = [f"subrng = {format_subset(subset)}"]
-    verdict = "pass" if all_found else "fail"
+    verdict = "pass" if all(w0 and w1 for _, w0, w1 in found) else "fail"
     return _emit_report(args, f"integral {args.file}", lines, rows, verdict)
 
 
 def _cmd_lying_over(args: argparse.Namespace) -> int:
     structure = validate_lcrng(_parse_lcrng_file(args.file))
-    subset = (
-        parse_subset(args.subset, structure.order)
-        if args.subset
-        else frozenset(range(structure.order))
-    )
+    subset = _subset(args, structure)
     pair = embed_check(structure, subset)
     report = verify_lying_over_all(pair)
     rows = []
@@ -227,7 +210,7 @@ def _rings_from_specs(specs: Sequence[str], cap: int, what: str) -> list[FiniteC
 
 def _resolve_hom(a_spec: str, b_spec: str, hom: str):
     a, b = _rings_from_specs([a_spec, b_spec], MAX_ORDER, "construct")
-    a_orders = a_spec.split(":", 1)[1].split("x")
+    a_orders = _spec_orders(a_spec)
     if hom == "auto":
         hom = "reduction" if len(a_orders) == 1 else ""
         if not hom:
@@ -241,7 +224,7 @@ def _resolve_hom(a_spec: str, b_spec: str, hom: str):
     if hom in ("p1", "p2"):
         if len(a_orders) != 2:
             raise InputError("bad-hom-spec", "--hom p1/p2 needs a two-factor product ring A")
-        first, second = zmod(int(a_orders[0])), zmod(int(a_orders[1]))
+        first, second = map(zmod, a_orders)
         which = 0 if hom == "p1" else 1
         phi = projection_hom(a, first, second, which)
         if phi.target != b:
@@ -308,63 +291,77 @@ def _cmd_hl_verify(args: argparse.Namespace) -> int:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FILE = ("file", {})
+_SUBSET = ("--subset", {"default": "", "help": "subrng as comma-separated indices"})
+
+# The subcommands, in the order `huliu -h` lists them: name -> (handler,
+# help line, options).  Every subcommand also takes --format, added first.
+COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple]] = {
+    "verify": (_cmd_verify, "validate a structure file against every axiom", (_FILE,)),
+    "decompose": (_cmd_decompose, "print the grading and per-element components", (_FILE,)),
+    "ideals": (_cmd_ideals, "enumerate ideals with primality flags", (_FILE,)),
+    "spectrum": (_cmd_spectrum, "list the Hu-Liu prime ideals", (_FILE,)),
+    "bridge": (_cmd_bridge, "emit the Hu-Liu ring built from an lcrng file", (_FILE,)),
+    "hl-verify": (_cmd_hl_verify, "validate a Hu-Liu ring file", (_FILE,)),
+    "integral": (
+        _cmd_integral,
+        "minimal monic witness degrees over a subrng",
+        (_FILE, _SUBSET, ("--max-degree", {"type": int})),
+    ),
+    "lying-over": (_cmd_lying_over, "replay the lying-over theorem on a pair", (_FILE, _SUBSET)),
+    "construct": (
+        _cmd_construct,
+        "build a structure from a family recipe",
+        (
+            ("--family", {"default": "semidirect"}),
+            ("--a", {"required": True, "help": "ring spec, e.g. zmod:4 or zmod:2x2"}),
+            ("--b", {"required": True, "help": "ring spec, e.g. zmod:2"}),
+            ("--hom", {"default": "auto", "help": "auto | id | reduction | p1 | p2"}),
+            ("--name", {"default": ""}),
+        ),
+    ),
+    "enumerate": (
+        _cmd_enumerate,
+        "census of structures on an abelian group",
+        (
+            ("--group", {"required": True, "help": "group spec, e.g. zmod:2x2"}),
+            ("--max-candidates", {"type": int}),
+            ("--no-dedup", {"action": "store_true"}),
+            ("--emit", {"action": "store_true", "help": "also print each structure document"}),
+        ),
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `huliu` parser with every subcommand, or with `command` alone."""
     parser = argparse.ArgumentParser(
         prog="huliu",
         description="Workbench for left commutative rngs and rings with the Hu-Liu product.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        p.add_argument("--format", choices=("text", "csv"), default="text")
-        return p
-
-    for name, func, helptext in (
-        ("verify", _cmd_verify, "validate a structure file against every axiom"),
-        ("decompose", _cmd_decompose, "print the grading and per-element components"),
-        ("ideals", _cmd_ideals, "enumerate ideals with primality flags"),
-        ("spectrum", _cmd_spectrum, "list the Hu-Liu prime ideals"),
-        ("bridge", _cmd_bridge, "emit the Hu-Liu ring built from an lcrng file"),
-        ("hl-verify", _cmd_hl_verify, "validate a Hu-Liu ring file"),
-    ):
-        p = add(name, func, help=helptext)
-        p.add_argument("file")
-
-    p = add("integral", _cmd_integral, help="minimal monic witness degrees over a subrng")
-    p.add_argument("file")
-    p.add_argument("--subset", default="", help="subrng as comma-separated indices")
-    p.add_argument("--max-degree", type=int, default=None)
-
-    p = add("lying-over", _cmd_lying_over, help="replay the lying-over theorem on a pair")
-    p.add_argument("file")
-    p.add_argument("--subset", default="", help="subrng as comma-separated indices")
-
-    p = add("construct", _cmd_construct, help="build a structure from a family recipe")
-    p.add_argument("--family", default="semidirect")
-    p.add_argument("--a", required=True, help="ring spec, e.g. zmod:4 or zmod:2x2")
-    p.add_argument("--b", required=True, help="ring spec, e.g. zmod:2")
-    p.add_argument("--hom", default="auto", help="auto | id | reduction | p1 | p2")
-    p.add_argument("--name", default="")
-
-    p = add("enumerate", _cmd_enumerate, help="census of structures on an abelian group")
-    p.add_argument("--group", required=True, help="group spec, e.g. zmod:2x2")
-    p.add_argument("--max-candidates", type=int, default=None)
-    p.add_argument("--no-dedup", action="store_true")
-    p.add_argument("--emit", action="store_true", help="also print each structure document")
-
+    for name, (_, helptext, options) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=helptext)
+            p.add_argument("--format", choices=("text", "csv"), default="text")
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A named subcommand needs only its own subparser.  No arguments, -h, an
+    # unknown name and leftover arguments get the full parser and its usage.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args, rest = build_parser(command).parse_known_args(argv)
+        if rest:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

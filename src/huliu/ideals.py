@@ -11,11 +11,12 @@ for # on the halo.
 The ideal lattice is grown, not filtered: every ideal is the sum of the
 principal ideals <x> of its elements, and a sum of ideals is an ideal, so
 the lattice is the sums of the principal ideals (`kernel._lattice`, the loop
-that also grows the subgroup lattice).  <x> is closed from x by products
-with additive generators only, which is exact because validation has
-proved · distributive on both sides and # distributive and commutative on
-the halo.  `ideal_violation` stays the test of a given subset, with the
-first witness in row-major order.
+that also grows the subgroup lattice).  <x> is closed from x by right
+products and halo #-products with additive generators only, which is exact
+because validation has proved · distributive on both sides and #
+distributive and commutative on the halo; left products follow from left
+commutativity and the link law (`_principal_ideals`).  `ideal_violation`
+stays the test of a given subset, with the first witness in row-major order.
 """
 
 from __future__ import annotations
@@ -219,12 +220,16 @@ def _principal_ideals(structure: LcRng) -> list[Subset]:
     """<x>, the least ideal containing x, for every element x in index order.
 
     <x> is grown from the multiples of x: every element y added is
-    multiplied on both sides by the carrier's additive generators, and its
-    halo component y - y·e by the halo's, under #.  A product outside the
-    ideal so far is added with its multiples.  That suffices because the
+    multiplied on the right by the carrier's additive generators, and its
+    halo component y1 = y - y·e by the halo's, under #.  A product outside
+    the ideal so far is added with its multiples.  That suffices because the
     products are additive in each factor (· and # distribute; # commutes)
     and y -> y - y·e is additive: the elements added generate the ideal,
-    and their halo components its halo part.
+    and their halo components its halo part.  Left products need no step
+    of their own.  With y0 = y·e and r any element, r·y0 = r·(y·e) =
+    y·(r·e) by left commutativity, and r·y1 = r·(1₁#y1) = (r·1₁)#y1 by the
+    link law, with r·1₁ in the halo: a right product of y and a #-product
+    of y1, so both are already in the ideal.
     """
     group, mul, e = structure.group, structure.mul, structure.left_identity
     loc = structure.local_mul
@@ -236,11 +241,7 @@ def _principal_ideals(structure: LcRng) -> list[Subset]:
         while added:
             y = added.pop()
             halo_row = loc[group.minus(y, mul[y][e])]
-            products = (
-                *(mul[g][y] for g in gens),
-                *(mul[y][g] for g in gens),
-                *(halo_row[h] for h in halo_gens),
-            )
+            products = (*(mul[y][g] for g in gens), *(halo_row[h] for h in halo_gens))
             for z in products:
                 if z not in ideal:
                     ideal = _sum(group, ideal, _cyclic(group, z))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,7 @@ from huliu import (
 )
 import huliu.cli
 import huliu.files
-from huliu.cli import run
+from huliu.cli import COMMANDS, build_parser, run
 
 from oracles import mutate
 
@@ -127,6 +131,70 @@ def test_cli_usage_errors(files, capsys):
     assert run(["bogus-command"]) == 2
     capsys.readouterr()
     assert run(["verify", "/nonexistent/x.json"]) == 2
+
+
+ROOT = Path(__file__).resolve().parent.parent
+USAGE_ARGVS = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["ver"],
+    *([name, "-h"] for name in COMMANDS),
+    *([name] for name in COMMANDS),
+    ["construct", "--a", "zmod:4"],
+    ["integral", "F", "--max-degree", "x"],
+    ["enumerate", "--group", "zmod:2", "--max-candidates", "x"],
+    ["spectrum", "F", "--format", "xml"],
+    ["verify", "a", "b"],
+    ["lying-over", "F", "--lenient"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+def test_cli_usage_matches_the_full_parser(argv, capsys, monkeypatch):
+    """`run` builds only the named subcommand's parser; its help, usage
+    and errors are still those of the parser with every subcommand."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        build_parser().parse_args(argv)
+    expected = (int(stop.value.code or 0), *capsys.readouterr())
+    assert (run(argv), *capsys.readouterr()) == expected
+
+
+def test_run_builds_only_the_named_subparser(files, capsys, monkeypatch):
+    built = []
+
+    def recording(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(huliu.cli, "build_parser", recording)
+    assert run(["verify", files["r4"]]) == 0
+    assert run(["bogus"]) == 2
+    assert run(["verify", "a", "b"]) == 2  # leftovers: the full parser reports them
+    assert built == ["verify", None, "verify", None]
+
+
+def test_module_entry_point_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "-h"])
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "huliu", "verify", "-h"],
+        env={**os.environ, "COLUMNS": "80", "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, *capsys.readouterr())
+
+
+def test_readme_command_block_lists_the_subcommand_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    names = [line.split()[1] for line in block.splitlines() if line.startswith("huliu ")]
+    assert names == list(COMMANDS)
 
 
 def test_cli_spectrum_csv_rows(files, capsys):
