@@ -14,11 +14,9 @@ from huliu import (
     validate_lcrng,
     zmod,
 )
-from huliu.integrality import component_subrings
 
 r8 = catalog()["r8"]
-whole = frozenset(range(r8.order))
-_, s1 = component_subrings(r8, whole)
+s1 = r8.halo  # the halo part of the whole carrier, as a coefficient subring
 ring1 = component_ring(r8, 1)
 for u1 in sorted(r8.halo):
     w = integral_witness(ring1, s1, u1)

@@ -48,6 +48,7 @@ from .kernel import (
     _group_violations,
     _law_violations,
     _multi_additive,
+    _require_whole,
     _sum,
     check_table_shape,
     element_orders,
@@ -236,20 +237,9 @@ def zmod(n: int) -> FiniteCommRing:
     )
 
 
-def _require_whole(*rings: FiniteCommRing) -> None:
-    """InputError unless each ring's carrier is its whole group."""
-    for ring in rings:
-        if ring.order != ring.group.order:
-            raise InputError(
-                "ring-not-on-whole-group",
-                f"{ring.name or 'ring'} lives on {ring.order} of the {ring.group.order} "
-                "elements of its group; this needs a ring on its whole group",
-            )
-
-
 def ring_product(a: FiniteCommRing, b: FiniteCommRing) -> FiniteCommRing:
     """Componentwise product of rings on their whole groups; index (x, y) -> x + |A|·y."""
-    _require_whole(a, b)
+    _require_whole("ring", a, b)
     na, nb = a.order, b.order
     n = na * nb
 
@@ -282,7 +272,7 @@ def ring_product(a: FiniteCommRing, b: FiniteCommRing) -> FiniteCommRing:
 
 def ring_hom(source: FiniteCommRing, target: FiniteCommRing, mapping) -> RingHom:
     """A unital hom between rings on their whole groups, checked on every pair."""
-    _require_whole(source, target)
+    _require_whole("ring", source, target)
     m = tuple(int(x) for x in mapping)
     if len(m) != source.order:
         raise InputError("hom-shape-mismatch", "mapping length differs from source order")
@@ -678,6 +668,7 @@ def _assemble(a: FiniteCommRing, b: FiniteCommRing, phi: Sequence[int]) -> RawLc
 def lcrng_isomorphic(r1: LcRng, r2: LcRng) -> bool:
     """Brute-force isomorphism search over additive bijections fixing 0 that
     carry ·, #, and the designated left identity to a left identity."""
+    _require_whole("structure", r1, r2)
     if r1.order != r2.order:
         return False
     n = r1.order

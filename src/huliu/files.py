@@ -126,7 +126,9 @@ def _table_json(table: Table) -> list[list[int | None]]:
 def emit_structure(structure: Emittable) -> str:
     """Canonical JSON text for a structure: sorted keys, row-major tables."""
     doc: dict[str, Any]
-    if isinstance(structure, (RawLcRng, LcRng)):
+    if isinstance(structure, LcRng):
+        structure = structure.raw()  # refuses a proper carrier
+    if isinstance(structure, RawLcRng):
         doc = {
             "kind": "lcrng",
             "order": structure.group.order,

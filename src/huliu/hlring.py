@@ -32,6 +32,7 @@ from .kernel import (
     _law_violations,
     _left_distributive,
     _multi_additive,
+    _require_whole,
     _right_distributive,
     _sum_generators,
     check_table_shape,
@@ -240,6 +241,7 @@ def is_hl_commutative(ring: HlRing) -> bool:
 def from_lcrng(structure: LcRng) -> HlRing:
     """Bridge: σ = the designated left identity, x⇀y = y·x, x↼y = x·y,
     • = the induced product.  Validated at runtime rather than trusted."""
+    _require_whole("structure", structure)
     n = structure.order
     mul = structure.mul
     rarrow = tuple(tuple(mul[y][x] for y in range(n)) for x in range(n))

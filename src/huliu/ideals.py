@@ -17,6 +17,10 @@ because validation has proved · distributive on both sides and #
 distributive and commutative on the halo; left products follow from left
 commutativity and the link law (`_principal_ideals`).  `ideal_violation`
 stays the test of a given subset, with the first witness in row-major order.
+
+Everything here reads a structure on its carrier (`LcRng.elements()`), so
+the ideals and primes of a subrng restricted from an ambient structure come
+out in the ambient indices, and a subset must lie in the carrier.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ def _has(code: str, message: str, v: int, subset: Subset) -> Law:
 
 def _subgroup_laws(structure: LcRng, subset: Subset) -> tuple[Law, ...]:
     for i in subset:
-        if not (0 <= i < structure.order):
+        if i not in structure.members:
             raise InputError("subset-out-of-range", f"index {i} not in carrier")
     pairs, add = (sorted(subset),) * 2, structure.group.add
     return (
@@ -165,7 +169,7 @@ def prime_violation(structure: LcRng, ideal: GradedIdeal) -> Violation | None:
     outside their components stay outside the ideal, #-products outside its halo part."""
     outside0 = [x for x in sorted(structure.r0) if x not in ideal.i0]
     outside1 = [x for x in sorted(structure.halo) if x not in ideal.i1]
-    everything, s, n = frozenset(structure.elements()), ideal.carrier, structure.order
+    everything, s, n = structure.members, ideal.carrier, structure.order
     mul, out, out1 = structure.mul, everything - ideal.carrier, everything - ideal.i1
     product = "x0·y lands in the ideal with neither factor in its component"
     local = "x1#y1 lands in the halo part with neither factor in it"
@@ -231,16 +235,15 @@ def _principal_ideals(structure: LcRng) -> list[Subset]:
     link law, with r·1₁ in the halo: a right product of y and a #-product
     of y1, so both are already in the ideal.
     """
-    group, mul, e = structure.group, structure.mul, structure.left_identity
-    loc = structure.local_mul
-    gens = generating_sequence(group, frozenset(structure.elements()))
+    group, mul, loc = structure.group, structure.mul, structure.local_mul
+    gens = generating_sequence(group, structure.members)
     halo_gens = generating_sequence(group, structure.halo)
 
     def principal(x: int) -> Subset:
         ideal, added = _cyclic(group, x), [x]
         while added:
             y = added.pop()
-            halo_row = loc[group.minus(y, mul[y][e])]
+            halo_row = loc[structure.comp1(y)]
             products = (*(mul[y][g] for g in gens), *(halo_row[h] for h in halo_gens))
             for z in products:
                 if z not in ideal:

@@ -170,14 +170,6 @@ def _witness_search(
     return None
 
 
-def component_subrings(structure: LcRng, subset: Subset) -> tuple[Subset, Subset]:
-    """(R·e, R ∩ halo) of a subrng, in ambient indices."""
-    e = structure.left_identity
-    s0 = frozenset(structure.times(r, e) for r in subset)
-    s1 = subset & structure.halo
-    return s0, s1
-
-
 def _graded_search(
     structure: LcRng,
     subset: Subset,
@@ -185,20 +177,22 @@ def _graded_search(
     max_degree: int | None = None,
 ) -> Iterator[tuple[int, IntegralWitness | None, IntegralWitness | None]]:
     """(u, w0, w1) for each u of `elements`, lazily, with the witnesses of
-    graded_witnesses.  The subrng, both component rings and both coefficient
-    subrings depend only on the pair, so they are checked once, before the
-    first element is searched.  A subrng holds e and 1₁, so both coefficient
-    subrings R·e and R ∩ halo are unital."""
+    graded_witnesses.  The subrng and both component rings depend only on
+    the pair, so they are checked once, before the first element is
+    searched.  The coefficient subrings are the parts of the structure
+    restricted to the subrng, S ∩ R0 = S·e and S ∩ halo: subrings of the
+    component rings, unital because a strict subrng holds e and 1₁, as
+    subrng_violation has proved."""
     bad = subrng_violation(structure, subset)
     if bad is not None:
         raise InputError("not-a-subrng", str(bad))
     if max_degree is None:
         max_degree = structure.order
-    s0, s1 = component_subrings(structure, subset)
+    sub = structure.restrict(subset)
+    s0, s1 = sub.r0, sub.r1
+    members0, members1 = sorted(s0), sorted(s1)
     ring0 = component_ring(structure, 0)
-    members0 = _check_subring(ring0, s0)
     ring1 = component_ring(structure, 1)
-    members1 = _check_subring(ring1, s1)
     for u in elements:
         w0 = _witness_search(ring0, s0, members0, structure.comp0(u), max_degree)
         w1 = _witness_search(ring1, s1, members1, structure.comp1(u), max_degree)

@@ -82,6 +82,19 @@ def check_table_shape(rows: Sequence[Sequence[int]], *, allow_sentinel: bool = F
     return tuple(map(tuple, rows)) if exact else freeze_table(rows)
 
 
+def _require_whole(kind: str, *structures) -> None:
+    """InputError unless each structure (a ring or an LcRng, named by `kind`)
+    has its whole group as carrier, for code that reads tables over
+    0..order-1."""
+    for s in structures:
+        if s.order != s.group.order:
+            raise InputError(
+                f"{kind}-not-on-whole-group",
+                f"{s.name or kind} lives on {s.order} of the {s.group.order} "
+                f"elements of its group; this needs a {kind} on its whole group",
+            )
+
+
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Additive group on indices 0..order-1 with zero at index 0."""

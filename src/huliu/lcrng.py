@@ -10,7 +10,8 @@ its first failing tuple in row-major order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import InputError, TheoremAlarm, ValidationFailure, Violation
 from .kernel import (
@@ -25,6 +26,7 @@ from .kernel import (
     _law_violations,
     _left_distributive,
     _multi_additive,
+    _require_whole,
     _right_distributive,
     _sum_generators,
     check_table_shape,
@@ -50,7 +52,12 @@ class RawLcRng:
 
 @dataclass(frozen=True)
 class LcRng:
-    """A validated left commutative rng with its computed grading data."""
+    """A validated left commutative rng with its computed grading data, on a
+    subgroup of its group, in the group's indices: `carrier` is a sorted
+    tuple that defaults to the whole group, and `halo`, `r0` and `r1` lie in
+    it.  Entries of the tables off the carrier are never read.  A structure
+    on a proper carrier is a strict subrng of one on the whole group
+    (`restrict`)."""
 
     group: FiniteAbelianGroup
     mul: Table
@@ -62,19 +69,38 @@ class LcRng:
     r1: Subset
     name: str = ""
     metadata: Metadata = ()
+    carrier: tuple[int, ...] = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.carrier is None:
+            object.__setattr__(self, "carrier", tuple(range(self.group.order)))
 
     @property
     def order(self) -> int:
-        return self.group.order
+        return len(self.carrier)
 
-    def elements(self) -> range:
-        return range(self.group.order)
+    @cached_property
+    def members(self) -> Subset:
+        return frozenset(self.carrier)
+
+    def elements(self) -> tuple[int, ...]:
+        return self.carrier
+
+    def restrict(self, subset: Subset) -> LcRng:
+        """This structure on the carrier of a strict subrng S, which the
+        caller has proved one (`ideals.subrng_violation`): the same tables,
+        with the halo and both parts met with S.  Nothing is validated
+        again, since every axiom holds on S (see `lyingover.embed_check`).
+        The whole carrier gives the structure itself."""
+        if len(subset) == self.order:
+            return self
+        halo = self.halo & subset
+        return replace(
+            self, carrier=tuple(sorted(subset)), halo=halo, r0=self.r0 & subset, r1=halo
+        )
 
     def plus(self, a: int, b: int) -> int:
         return self.group.add[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.group.neg(a)
 
     def minus(self, a: int, b: int) -> int:
         return self.group.minus(a, b)
@@ -95,6 +121,7 @@ class LcRng:
         return self.minus(a, self.comp0(a))
 
     def raw(self) -> RawLcRng:
+        _require_whole("structure", self)
         return RawLcRng(
             group=self.group,
             mul=self.mul,
@@ -304,13 +331,13 @@ def validate_lcrng(raw: RawLcRng) -> LcRng:
 
 def left_identities(structure: LcRng) -> Subset:
     """All e' with e'·x = x; always contains the designated one."""
-    n = structure.order
-    mul = structure.mul
-    return frozenset(c for c in range(n) if all(mul[c][x] == x for x in range(n)))
+    rng, mul = structure.elements(), structure.mul
+    return frozenset(c for c in rng if all(mul[c][x] == x for x in rng))
 
 
 def decompose(structure: LcRng) -> Decomposition:
     """Per-element split a = a0 + a1 along R = R0 + halo, verified direct."""
+    _require_whole("structure", structure)
     n = structure.order
     comp0 = tuple(structure.comp0(a) for a in range(n))
     comp1 = tuple(structure.comp1(a) for a in range(n))
@@ -341,6 +368,7 @@ def induced_product(structure: LcRng, x: int, y: int) -> int:
 
 
 def induced_table(structure: LcRng) -> Table:
+    _require_whole("structure", structure)
     n = structure.order
     return tuple(
         tuple(induced_product(structure, x, y) for y in range(n)) for x in range(n)

@@ -8,8 +8,11 @@ elements are found by exhaustive search and both proof targets — the
 maximal element meets R exactly in p, and it is prime — become runnable
 checks.  T-sets, witnesses and the primality of maximal elements are all
 read off one ambient ideal lattice and spectrum, built once and carried on
-the pair.  A missing witness would falsify the theorem and raises an alarm
-with a full diagnostic dump rather than a normal error.
+the pair.  The subrng is the ambient structure on its own carrier, so p,
+the primes of R and every witness are in the ambient indices, and nothing
+is re-indexed or validated again.  A missing witness would falsify the
+theorem and raises an alarm with a full diagnostic dump rather than a
+normal error.
 """
 
 from __future__ import annotations
@@ -28,19 +31,18 @@ from .ideals import (
     spectrum,
 )
 from .integrality import _graded_search
-from .kernel import SENTINEL, FiniteAbelianGroup, Subset, format_subset
-from .lcrng import LcRng, RawLcRng, validate_lcrng
+from .kernel import Subset, format_subset
+from .lcrng import LcRng
 
 
 @dataclass(frozen=True)
 class SubrngPair:
-    """A subrng embedded in an ambient structure, with the re-indexed copy."""
+    """A strict subrng R of an ambient structure U: `restricted` is U on R's
+    carrier (`LcRng.restrict`), so both live in U's indices."""
 
     ambient: LcRng
     sub: Subset
     restricted: LcRng
-    from_sub: tuple[int, ...]
-    to_sub: tuple[int, ...]
 
     @cached_property
     def ambient_ideals(self) -> tuple[GradedIdeal, ...]:
@@ -54,23 +56,11 @@ class SubrngPair:
 
     @cached_property
     def sub_spectrum(self) -> Spectrum:
-        """The Hu-Liu primes of the subrng, in restricted indices; for the whole
-        carrier these are the ambient indices, so the ambient spectrum is reused."""
-        if len(self.sub) == self.ambient.order:
+        """The Hu-Liu primes of the subrng; on the whole carrier the
+        restricted structure is the ambient one, whose spectrum is reused."""
+        if self.restricted is self.ambient:
             return self.ambient_spectrum
         return spectrum(self.restricted)
-
-    def to_ambient(self, subset: Subset) -> Subset:
-        return frozenset(self.from_sub[i] for i in subset)
-
-    def to_restricted(self, subset: Subset) -> Subset:
-        out = set()
-        for a in subset:
-            i = self.to_sub[a]
-            if i == SENTINEL:
-                raise InputError("subset-outside-subrng", f"{a} is not in the subrng")
-            out.add(i)
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -96,10 +86,16 @@ class LyingOverReport:
 
 
 def embed_check(structure: LcRng, subset: Subset) -> SubrngPair:
-    """Verified pair: subrng axioms, graded integrality of the extension,
-    and validation of the re-indexed sub-structure.  The whole carrier is
-    its own re-indexing, so the already validated ambient structure is
-    reused as the restricted one.
+    """Verified pair: the strict subrng axioms (`subrng_violation`) and
+    graded integrality of the extension.  The restricted structure is the
+    ambient one on the subrng's carrier, validated by this proposition:
+
+    - Each law of a structure is an identity, so it holds on a strict
+      subrng S when it holds on U, since S is closed under +, · and #.
+    - S ∩ halo holds 1₁ ≠ 0, so the halo part of S is not trivial.
+    - A halo element h left-annihilates: h·y = (h·e)·y = 0.  So 1₁·c = 0 ≠
+      1₁, and no c in S is a two-sided identity.
+    - Each s splits as s·e + (s - s·e) inside S, so S = (S ∩ R0) ⊕ (S ∩ halo).
 
     Integrality is a theorem here: the powers of a component u repeat,
     u^b = u^a with a < b no larger than the order, and u^b - u^a is monic
@@ -116,68 +112,19 @@ def embed_check(structure: LcRng, subset: Subset) -> SubrngPair:
                 dump=f"sub = {format_subset(subset)}\nambient mul = {structure.mul}\n"
                 f"ambient local_mul = {structure.local_mul}",
             )
-
-    if len(subset) == structure.order:
-        identity = tuple(structure.elements())
-        return SubrngPair(
-            ambient=structure, sub=subset, restricted=structure, from_sub=identity, to_sub=identity
-        )
-
-    from_sub = tuple(sorted(subset))
-    to_sub_list = [SENTINEL] * structure.order
-    for i, a in enumerate(from_sub):
-        to_sub_list[a] = i
-    to_sub = tuple(to_sub_list)
-
-    m = len(from_sub)
-    add = tuple(
-        tuple(to_sub[structure.plus(from_sub[i], from_sub[j])] for j in range(m))
-        for i in range(m)
-    )
-    mul = tuple(
-        tuple(to_sub[structure.times(from_sub[i], from_sub[j])] for j in range(m))
-        for i in range(m)
-    )
-    sub_halo = subset & structure.halo
-    loc = tuple(
-        tuple(
-            to_sub[structure.local(from_sub[i], from_sub[j])]
-            if from_sub[i] in sub_halo and from_sub[j] in sub_halo
-            else SENTINEL
-            for j in range(m)
-        )
-        for i in range(m)
-    )
-    raw = RawLcRng(
-        group=FiniteAbelianGroup(order=m, add=add),
-        mul=mul,
-        left_identity=to_sub[structure.left_identity],
-        local_mul=loc,
-        name=f"{structure.name}[{format_subset(subset)}]" if structure.name else "",
-    )
-    try:
-        restricted = validate_lcrng(raw)
-    except Exception as exc:
-        raise InputError(
-            "not-a-subrng", f"the restriction to {{{format_subset(subset)}}} is not a valid "
-            f"structure: {exc}"
-        ) from exc
-    return SubrngPair(
-        ambient=structure, sub=subset, restricted=restricted, from_sub=from_sub, to_sub=to_sub
-    )
+    return SubrngPair(ambient=structure, sub=subset, restricted=structure.restrict(subset))
 
 
 def sub_primes(pair: SubrngPair) -> list[Subset]:
-    """spec# of the sub-structure, reported in ambient indices."""
-    return [pair.to_ambient(p.carrier) for p in pair.sub_spectrum.primes]
+    """spec# of the subrng."""
+    return pair.sub_spectrum.carriers()
 
 
 def _require_prime(pair: SubrngPair, p: Subset) -> None:
     if not p <= pair.sub:
         raise InputError("p-not-prime", "p is not contained in the subrng")
-    p_res = pair.to_restricted(p)
     try:
-        ideal = as_graded_ideal(pair.restricted, p_res, kind="ideal")
+        ideal = as_graded_ideal(pair.restricted, p, kind="ideal")
     except InputError as exc:
         raise InputError("p-not-prime", f"p is not an ideal of the subrng: {exc}") from exc
     bad = prime_violation(pair.restricted, ideal)

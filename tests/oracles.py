@@ -28,9 +28,9 @@ from huliu import (
     integral_witness,
     lcrng_isomorphic,
     subrng_violation,
+    validate_lcrng,
 )
 from huliu import kernel
-from huliu.integrality import component_subrings
 from huliu.kernel import generating_sequence, subset_key
 
 # Every abelian group of order <= 16, one presentation each; the cyclic ones carry none.
@@ -112,6 +112,36 @@ def filtered_ideals(structure: LcRng) -> list[GradedIdeal]:
 
 def brute_spectrum(structure: LcRng) -> list[frozenset[int]]:
     return [s for s in brute_ideals(structure) if brute_is_prime(structure, s)]
+
+
+def reindexed(structure: LcRng, subset) -> tuple[LcRng, tuple[int, ...]]:
+    """A strict subrng as a structure of its own: its elements renumbered
+    0..m-1 in ascending order, the tables copied over and the copy validated
+    from scratch.  Returns the copy and the map from its indices back to the
+    ambient ones."""
+    from_sub = tuple(sorted(subset))
+    to_sub = {a: i for i, a in enumerate(from_sub)}
+    halo = subset & structure.halo
+
+    def copy(op, on) -> tuple:
+        return tuple(
+            tuple(to_sub[op(a, b)] if a in on and b in on else SENTINEL for b in from_sub)
+            for a in from_sub
+        )
+
+    raw = RawLcRng(
+        group=FiniteAbelianGroup(order=len(from_sub), add=copy(structure.plus, subset)),
+        mul=copy(structure.times, subset),
+        left_identity=to_sub[structure.left_identity],
+        local_mul=copy(structure.local, halo),
+    )
+    return validate_lcrng(raw), from_sub
+
+
+def reindexed_spectrum(structure: LcRng, subset) -> list[frozenset[int]]:
+    """brute_spectrum of the re-indexed subrng, mapped back to ambient indices."""
+    copy, from_sub = reindexed(structure, subset)
+    return [frozenset(from_sub[i] for i in p) for p in brute_spectrum(copy)]
 
 
 def brute_min_monic_degree(ring, subring, u, kmax) -> tuple[int, tuple[int, ...]] | None:
@@ -569,6 +599,12 @@ def brute_dedup(structures: list[LcRng]) -> list[LcRng]:
     return kept
 
 
+def coefficient_subrings(structure: LcRng, subset) -> tuple[frozenset[int], frozenset[int]]:
+    """(S·e, S ∩ halo) of a subrng S, in ambient indices, from the definitions."""
+    e = structure.left_identity
+    return frozenset(structure.times(r, e) for r in subset), subset & structure.halo
+
+
 def per_element_witnesses(structure: LcRng, subset, max_degree=None) -> list:
     """(u, w0, w1) for every element, as the `integral` subcommand once found
     them: each element re-checks the subrng, rebuilds and re-verifies both
@@ -579,7 +615,7 @@ def per_element_witnesses(structure: LcRng, subset, max_degree=None) -> list:
         if bad is not None:
             raise InputError("not-a-subrng", str(bad))
         bound = structure.order if max_degree is None else max_degree
-        s0, s1 = component_subrings(structure, subset)
+        s0, s1 = coefficient_subrings(structure, subset)
         w0 = integral_witness(component_ring(structure, 0), s0, structure.comp0(u), bound)
         w1 = integral_witness(component_ring(structure, 1), s1, structure.comp1(u), bound)
         found.append((u, w0, w1))
@@ -593,7 +629,7 @@ def per_element_embed(structure: LcRng, subset) -> list:
     bad = subrng_violation(structure, subset)
     if bad is not None:
         raise InputError("not-a-subrng", str(bad))
-    s0, s1 = component_subrings(structure, subset)
+    s0, s1 = coefficient_subrings(structure, subset)
     ring0 = component_ring(structure, 0)
     ring1 = component_ring(structure, 1)
     bound = structure.order
@@ -627,7 +663,7 @@ def lenient_embed(structure: LcRng, subset) -> None:
     bad = subrng_violation(structure, subset, strict=False)
     if bad is not None:
         raise InputError("not-a-subrng", str(bad))
-    s0, s1 = component_subrings(structure, subset)
+    s0, s1 = coefficient_subrings(structure, subset)
     ring0, ring1 = component_ring(structure, 0), component_ring(structure, 1)
     n = structure.order
     for u in structure.elements():

@@ -287,6 +287,21 @@ def test_cli_bridge_and_hl_verify(files, tmp_path, capsys):
     assert run(["hl-verify", files["r4"]]) == 2  # wrong kind
 
 
+def test_construct_and_bridge_print_one_document_in_either_format(files, capsys):
+    """`construct` and `bridge` print a structure document, so `--format`
+    leaves their stdout, stderr and exit code unchanged, as README states."""
+    for argv in (
+        ["construct", "--a", "zmod:2x2", "--b", "zmod:2", "--hom", "p1", "--name", "u8"],
+        ["bridge", files["u8"]],
+    ):
+        printed = []
+        for extra in ([], ["--format", "csv"], ["--format", "text"]):
+            assert run(argv + extra) == 0, argv + extra
+            printed.append(capsys.readouterr())
+        assert printed[0].out.startswith("{\n")
+        assert printed[0] == printed[1] == printed[2], argv
+
+
 def test_cli_enumerate(capsys):
     assert run(["enumerate", "--group", "zmod:2x2", "--format", "csv"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()

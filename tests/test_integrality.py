@@ -25,7 +25,7 @@ from huliu import (
     zmod,
 )
 from huliu.cli import run
-from huliu.integrality import _graded_search, component_subrings
+from huliu.integrality import _graded_search
 
 from oracles import brute_min_monic_degree, outcome, per_element_witnesses
 
@@ -92,7 +92,8 @@ def test_u16_halo_elements_have_degree_at_most_two(u16):
 
 def test_minimal_degree_matches_oracle_on_catalog_pairs(pairs):
     for name, structure, subset in pairs:
-        s0, s1 = component_subrings(structure, subset)
+        sub = structure.restrict(subset)
+        s0, s1 = sub.r0, sub.r1
         ring0 = component_ring(structure, 0)
         ring1 = component_ring(structure, 1)
         for u in structure.elements():
@@ -146,7 +147,7 @@ def test_push_down_trivial_cases(r8):
 
 def test_push_down_for_every_witness_and_scalar(pairs):
     for name, structure, subset in pairs:
-        _, s1 = component_subrings(structure, subset)
+        s1 = structure.restrict(subset).r1
         ring1 = component_ring(structure, 1)
         for u1 in sorted(structure.halo):
             w = integral_witness(ring1, s1, u1)
@@ -208,4 +209,6 @@ def test_integral_checks_each_component_ring_and_subring_once(tmp_path, monkeypa
         monkeypatch.setattr(huliu.integrality, name, counted)
     assert run(["integral", str(path), "--format", "csv"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 64
-    assert calls == {"_verify_component_ring": 2, "_check_subring": 2}
+    # The coefficient subrings are the subrng's parts, proved by
+    # subrng_violation, so no subring check runs.
+    assert calls == {"_verify_component_ring": 2}

@@ -13,12 +13,19 @@ from huliu import (
     complement_closure_prime,
     as_graded_ideal,
     component_ring,
+    decompose,
     embed_check,
     emit_structure,
     enumerate_ideals,
     enumerate_subgroups,
+    from_lcrng,
+    ideal_violation,
+    induced_table,
+    is_hl_commutative,
     is_subrng,
     is_huliu_prime,
+    lcrng_isomorphic,
+    left_identities,
     lying_over,
     maximal_in_t,
     spectrum,
@@ -27,15 +34,17 @@ from huliu import (
     verify_lying_over_all,
 )
 from huliu.cli import run
-from huliu.integrality import _graded_search, component_subrings
+from huliu.integrality import _graded_search
 
 from oracles import (
     GROUPS_TO_16,
     brute_ideals,
     brute_spectrum,
+    coefficient_subrings,
     lenient_embed,
     outcome,
     per_element_embed,
+    reindexed_spectrum,
     span_degree,
 )
 
@@ -53,7 +62,46 @@ def test_identity_pairs_embed(cat):
 def test_diagonal_pair_embeds(u8):
     pair = embed_check(u8, frozenset({0, 3, 4, 7}))
     assert pair.restricted.order == 4
-    assert sorted(pair.restricted.halo) == [0, 2]
+    assert pair.restricted.carrier == (0, 3, 4, 7)
+    assert sorted(pair.restricted.halo) == [0, 4]  # ambient indices
+
+
+def test_a_proper_carrier_is_refused_by_whole_group_functions(u8):
+    """The diagonal pair's restricted structure is u8 on {0, 3, 4, 7}: every
+    function that reads tables over 0..order-1 refuses it, and the ideal,
+    spectrum, pair and component-ring machinery works on it as on any
+    structure."""
+    diagonal = frozenset({0, 3, 4, 7})
+    restricted = embed_check(u8, diagonal).restricted
+    calls = [
+        lambda: emit_structure(restricted),
+        lambda: from_lcrng(restricted),
+        lambda: induced_table(restricted),
+        lambda: decompose(restricted),
+        lambda: lcrng_isomorphic(restricted, u8),
+        lambda: lcrng_isomorphic(u8, restricted),
+        restricted.raw,
+    ]
+    for call in calls:
+        with pytest.raises(InputError) as err:
+            call()
+        assert err.value.code == "structure-not-on-whole-group"
+        assert "u8 lives on 4 of the 8 elements" in str(err.value)
+
+    assert spectrum(restricted).carriers() == reindexed_spectrum(u8, diagonal)
+    for ideal in enumerate_ideals(restricted):
+        assert ideal.carrier <= diagonal and ideal_violation(restricted, ideal.carrier) is None
+    assert left_identities(restricted) <= diagonal
+    for eps, part in ((0, restricted.r0), (1, restricted.r1)):
+        assert component_ring(restricted, eps).carrier == tuple(sorted(part))
+    pair = embed_check(restricted, diagonal)
+    assert pair.restricted is restricted
+    assert sub_primes(pair) == sub_primes(embed_check(u8, diagonal))
+    assert verify_lying_over_all(pair).passed
+    with pytest.raises(InputError) as err:
+        embed_check(restricted, frozenset({0, 1}))
+    assert err.value.code == "subset-out-of-range"
+    assert str(err.value) == "subset-out-of-range: index 1 not in carrier"
 
 
 def test_embed_check_rejects_non_subrngs(u8):
@@ -91,13 +139,16 @@ UNITAL_GROUPS = [(2, 2), (2, 4), (3, 3), (2, 6), (2, 8), (4, 4), (2, 2, 2), (2, 
 def test_strict_subrngs_have_unital_component_subrings(cat, census_of):
     """A strict subrng S holds e and 1_1, so S·e holds e·e = e and S ∩ halo
     holds 1_1: the coefficient subrings of every strict pair are unital, and
-    the integrality check needs no lenient reading of them."""
+    the integrality check needs no lenient reading of them.  They are the
+    parts of the structure restricted to S: S ∩ R0 = S·e."""
     structures = list(cat.values()) + [s for g in UNITAL_GROUPS for s in census_of(g)]
     checked = 0
     for s in structures:
         for subset in enumerate_subgroups(s.group):
             if is_subrng(s, subset):
-                s0, s1 = component_subrings(s, subset)
+                sub = s.restrict(subset)
+                s0, s1 = coefficient_subrings(s, subset)
+                assert (sub.r0, sub.r1) == (s0, s1), (s.name, sorted(subset))
                 assert s.left_identity in s0 and s.local_identity in s1, (s.name, sorted(subset))
                 checked += 1
     assert checked == 36
@@ -124,7 +175,8 @@ def test_shared_lattices_match_the_brute_oracles(cat, census_of):
     """enumerate_ideals, spectrum, and the lattices a pair shares (the
     ambient ideals and spectrum, and sub_primes) agree with the subset scans
     of tests/oracles.py on the catalog and on every census class of order
-    <= 8, for every strict subrng."""
+    <= 8, for every strict subrng; the subrng's primes are checked against
+    the brute spectrum of its re-indexed copy."""
     small = [g for g in GROUPS_TO_16 if math.prod(g) <= 8]
     structures = list(cat.values()) + [s for g in small for s in census_of(g)]
     assert len(structures) == 4 + 7
@@ -139,10 +191,31 @@ def test_shared_lattices_match_the_brute_oracles(cat, census_of):
             pair = embed_check(s, subset)
             assert [i.carrier for i in pair.ambient_ideals] == ideals
             assert pair.ambient_spectrum.carriers() == primes
-            want = [pair.to_ambient(p) for p in brute_spectrum(pair.restricted)]
-            assert sub_primes(pair) == want, (s.name, sorted(subset))
+            assert sub_primes(pair) == reindexed_spectrum(s, subset), (s.name, sorted(subset))
             pairs += 1
     assert pairs == 17
+
+
+def test_lying_over_sweeps_the_census(census_of):
+    """Every strict pair of every census class of order <= 16: the subrng's
+    primes are the brute spectrum of its re-indexed copy, and every row of
+    the lying-over report is ok.  Each class's bridge is a Hu-Liu
+    commutative ring."""
+    structures = [s for g in GROUPS_TO_16 for s in census_of(g)]
+    assert len(structures) == 39
+    pairs = rows = 0
+    for s in structures:
+        assert is_hl_commutative(from_lcrng(s))
+        for subset in enumerate_subgroups(s.group):
+            if not is_subrng(s, subset):
+                continue
+            pair = embed_check(s, subset)
+            assert sub_primes(pair) == reindexed_spectrum(s, subset), (s.name, sorted(subset))
+            report = verify_lying_over_all(pair)
+            assert report.passed and all(row.ok for row in report.rows)
+            pairs += 1
+            rows += len(report.rows)
+    assert (pairs, rows) == (109, 257)
 
 
 def test_embed_check_matches_the_per_element_loop(cat, census_of):
@@ -168,18 +241,18 @@ def test_embed_check_matches_the_per_element_loop(cat, census_of):
 
 
 def test_whole_carrier_reuses_the_validated_ambient(cat, u8, tmp_path, monkeypatch, capsys):
-    """`lying-over` without --subset validates the document once: the whole
-    carrier is its own re-indexing, so the pair's restricted structure is the
-    ambient one."""
+    """`lying-over` without --subset validates the document once, and
+    embed_check validates nothing: on the whole carrier the pair's restricted
+    structure is the ambient one, and on a strict subrng it is the ambient
+    one on the subrng's carrier."""
     validated = []
-    validate_lcrng = huliu.lyingover.validate_lcrng
+    checked = huliu.lcrng._checked
 
     def counted(raw):
         validated.append(raw)
-        return validate_lcrng(raw)
+        return checked(raw)
 
-    monkeypatch.setattr(huliu.cli, "validate_lcrng", counted)
-    monkeypatch.setattr(huliu.lyingover, "validate_lcrng", counted)
+    monkeypatch.setattr(huliu.lcrng, "_checked", counted)
     for name, s in cat.items():
         path = tmp_path / f"{name}.json"
         path.write_text(emit_structure(s), encoding="utf-8")
@@ -189,10 +262,11 @@ def test_whole_carrier_reuses_the_validated_ambient(cat, u8, tmp_path, monkeypat
         assert len(validated) == 1, name
         pair = _identity_pair(s)
         assert pair.restricted is s
-        assert pair.from_sub == pair.to_sub == tuple(range(s.order))
+        assert pair.sub_spectrum is pair.ambient_spectrum
     validated.clear()
-    embed_check(u8, frozenset({0, 3, 4, 7}))
-    assert len(validated) == 1  # a strict subrng still validates its re-indexed copy
+    pair = embed_check(u8, frozenset({0, 3, 4, 7}))
+    assert validated == []
+    assert (pair.restricted.mul, pair.restricted.group) == (u8.mul, u8.group)
 
 
 def test_t_set_examples(r4):
@@ -224,6 +298,22 @@ def test_t_set_rejects_non_primes(r4, u8):
             t_set(pair, p)
         assert err.value.code == "p-not-prime"
         assert message in str(err.value)
+
+
+def test_p_not_prime_witnesses_are_in_ambient_indices(u8):
+    """p is given in ambient indices, and so is the witness that refutes it."""
+    diag = embed_check(u8, frozenset({0, 3, 4, 7}))
+    for p, witness in (
+        ({0, 3}, "ideal-right-absorb at (3, 4)"),
+        ({0, 7}, "ideal-right-absorb at (7, 3)"),
+        ({0, 3, 4}, "not-a-subgroup at (3, 4)"),
+        ({0, 3, 7}, "not-a-subgroup at (3, 7)"),
+        ({0, 4, 7}, "not-a-subgroup at (4, 7)"),
+    ):
+        with pytest.raises(InputError) as err:
+            t_set(diag, frozenset(p))
+        assert err.value.code == "p-not-prime"
+        assert f"p is not an ideal of the subrng: not-an-ideal: {witness}:" in str(err.value)
 
 
 def test_primes_of_the_subrng_are_not_proved_again(pairs, monkeypatch):
@@ -329,18 +419,20 @@ def test_maximal_elements_satisfy_both_proof_targets(cat, u8):
 
 
 def test_each_pair_builds_one_ambient_and_one_restricted_lattice(pairs, monkeypatch):
-    """The identity pair's restricted structure has the ambient indices, so
-    its subrng primes are the ambient ones: one lattice instead of two."""
+    """The identity pair's restricted structure is the ambient one, so its
+    subrng primes are the ambient ones: one lattice instead of two.  Both
+    structures of a pair share one group, so each lattice is told apart by
+    the carrier it spans, its largest member."""
     built = []
     lattice = huliu.ideals._lattice
 
     def counted(group, atoms):
-        built.append(group)
-        return lattice(group, atoms)
+        found = lattice(group, atoms)
+        built.append(found[-1])
+        return found
 
-    def assert_built(*groups):
-        assert len(built) == len(groups), name
-        assert all(b is g for b, g in zip(built, groups)), name
+    def assert_built(*structures):
+        assert built == [s.members for s in structures], name
 
     monkeypatch.setattr(huliu.ideals, "_lattice", counted)
     for name, structure, sub in pairs:
@@ -349,15 +441,15 @@ def test_each_pair_builds_one_ambient_and_one_restricted_lattice(pairs, monkeypa
         built.clear()
         verify_lying_over_all(pair)
         if identity:
-            assert_built(pair.ambient.group)
+            assert_built(pair.ambient)
         else:
-            assert_built(pair.ambient.group, pair.restricted.group)
+            assert_built(pair.ambient, pair.restricted)
 
         pair = embed_check(structure, sub)
         built.clear()
         for p in sub_primes(pair):
             lying_over(pair, p)
         if identity:
-            assert_built(pair.ambient.group)
+            assert_built(pair.ambient)
         else:
-            assert_built(pair.restricted.group, pair.ambient.group)
+            assert_built(pair.restricted, pair.ambient)
