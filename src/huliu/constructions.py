@@ -43,11 +43,19 @@ from .kernel import (
     Law,
     Subset,
     Table,
+    HOLDS,
+    _associative,
+    _ByteTable,
+    _byte_tables,
+    _commutative,
     _cyclic,
     _distributes,
     _group_violations,
     _law_violations,
+    _left_distributive,
     _multi_additive,
+    _right_columns,
+    _right_distributive,
     _require_whole,
     _sum,
     check_table_shape,
@@ -141,52 +149,57 @@ RING_CHECKS = (
 )
 
 
-def _ring_violations(ring: FiniteCommRing) -> Iterator[Violation]:
+def _ring_violations(ring: FiniteCommRing, sums: _ByteTable | None = None) -> Iterator[Violation]:
     """The ring laws over the carrier, lazily, one violation per failed law.
 
     Closure under + and the product comes first and every other law waits
     for it; on a whole group it always holds.  Then come the laws of
     RING_CHECKS, the identity law split in two: the identity lies in the
     carrier, then it fixes each element.  Distributivity and associativity
-    are decided on the carrier's generators.
+    are decided on the carrier's generators.  `sums` is + in row form over
+    the carrier, when the caller has built it already.
     """
     carrier, members, one = ring.carrier, ring.members, ring.one
     add, mul = ring.group.add, ring.mul
+    M, A = _byte_tables(carrier, mul, add) if sums is None else (*_byte_tables(carrier, mul), sums)
     pairs, cube = (carrier, carrier), (carrier, carrier, carrier)
     everywhere = [True] * len(carrier)
     closed = ("ring-not-closed",)
     try:
         gens = ring.gens
     except InputError:  # not a subgroup, so the closure law fails first
-        distributes = trilinear = None
+        distributes = distributes_right = trilinear = None
     else:
         distributes = _distributes("mul", carrier, gens)
-        trilinear = _multi_additive(("mul",), carrier, gens)
+        distributes_right = _distributes("mul", carrier, gens, row=_right_columns(M, A))
+        trilinear = _multi_additive(("mul",), (gens, gens, carrier))
 
     def closure(x: int) -> tuple:
+        sums, products = map(add[x].__getitem__, carrier), map(mul[x].__getitem__, carrier)
+        if members.issuperset(sums) and members.issuperset(products):
+            return HOLDS
         return [add[x][y] in members and mul[x][y] in members for y in carrier], everywhere
-
-    def left(x: int, y: int) -> tuple:
-        row = mul[x]
-        return [row[add[y][z]] for z in carrier], [add[row[y]][row[z]] for z in carrier]
-
-    def right(x: int, y: int) -> tuple:
-        row, rx, ry = mul[add[x][y]], mul[x], mul[y]
-        return [row[z] for z in carrier], [add[rx[z]][ry[z]] for z in carrier]
-
-    def associative(x: int, y: int) -> tuple:
-        row, rx, ry = mul[mul[x][y]], mul[x], mul[y]
-        return [row[z] for z in carrier], [rx[ry[z]] for z in carrier]
-
-    def commutative(x: int) -> tuple:
-        return [mul[x][y] for y in carrier], [mul[y][x] for y in carrier]
 
     laws = (
         Law("ring-not-closed", "carrier not closed at ({},{})", pairs, closure),
-        Law("ring-left-distributive", "x(y+z) != xy+xz", cube, left, closed, distributes),
-        Law("ring-right-distributive", "(x+y)z != xz+yz", cube, right, closed, distributes),
-        Law("ring-not-associative", "(xy)z != x(yz)", cube, associative, closed, trilinear),
-        Law("ring-not-commutative", "xy != yx", pairs, commutative, closed),
+        Law(
+            "ring-left-distributive",
+            "x(y+z) != xy+xz",
+            cube,
+            _left_distributive(M, A),
+            closed,
+            distributes,
+        ),
+        Law(
+            "ring-right-distributive",
+            "(x+y)z != xz+yz",
+            cube,
+            _right_distributive(M, A),
+            closed,
+            distributes_right,
+        ),
+        Law("ring-not-associative", "(xy)z != x(yz)", cube, _associative(M), closed, trilinear),
+        Law("ring-not-commutative", "xy != yx", pairs, _commutative(M), closed),
         Law(
             "ring-identity-fails",
             "designated identity {} lies outside the carrier",
@@ -198,7 +211,7 @@ def _ring_violations(ring: FiniteCommRing) -> Iterator[Violation]:
             "ring-identity-fails",
             "designated identity fails",
             (carrier,),
-            lambda: ([mul[one][x] for x in carrier], list(carrier)),
+            lambda: (tuple(map(mul[one].__getitem__, carrier)), carrier),
             (*closed, "ring-identity-fails"),
         ),
     )
@@ -213,10 +226,11 @@ def comm_ring_violations(ring: FiniteCommRing) -> list[Violation]:
         raise InputError("table-shape-mismatch", "mul table does not match group order")
     if not (0 <= ring.one < n):
         raise InputError("identity-out-of-range", f"identity index {ring.one}")
-    out = _group_violations(add)
+    (sums,) = _byte_tables(range(n), add)
+    out = _group_violations(sums)
     if out:
         return out
-    return list(_ring_violations(ring))
+    return list(_ring_violations(ring, sums if ring.order == n else None))
 
 
 def validate_comm_ring(ring: FiniteCommRing) -> FiniteCommRing:

@@ -16,7 +16,7 @@ from typing import Any
 from .constructions import FiniteCommRing
 from .errors import InputError
 from .hlring import HlRing, RawHlRing
-from .kernel import SENTINEL, FiniteAbelianGroup, Table, _row_check
+from .kernel import SENTINEL, FiniteAbelianGroup, Table, _require_whole, _row_check
 from .lcrng import LcRng, Metadata, RawLcRng
 
 Structure = RawLcRng | RawHlRing | FiniteCommRing
@@ -148,8 +148,7 @@ def emit_structure(structure: Emittable) -> str:
             "identity": structure.sigma,
         }
     elif isinstance(structure, FiniteCommRing):
-        if structure.order != structure.group.order:
-            raise InputError("unknown-kind", "cannot emit a ring on a proper subgroup")
+        _require_whole("ring", structure)
         doc = {
             "kind": "ring",
             "order": structure.group.order,

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import getitem, itemgetter
 from typing import Callable
 
 from .errors import InputError, TheoremAlarm, ValidationFailure, Violation
 from .kernel import (
+    HOLDS,
     FiniteAbelianGroup,
     Law,
     Row,
@@ -25,6 +27,8 @@ from .kernel import (
     Table,
     _associative,
     _bracketed,
+    _byte_tables,
+    _ByteTable,
     _distributes,
     _first_witness,
     _group_violations,
@@ -33,10 +37,10 @@ from .kernel import (
     _left_distributive,
     _multi_additive,
     _require_whole,
+    _right_columns,
     _right_distributive,
     _sum_generators,
     check_table_shape,
-    group_violations,
 )
 from .lcrng import LcRng, Metadata, induced_table
 
@@ -118,82 +122,80 @@ def hlring_violations(raw: RawHlRing) -> list[Violation]:
     if not (0 <= raw.sigma < n):
         raise InputError("identity-out-of-range", f"identity index {raw.sigma}")
 
-    out = _group_violations(add)
+    rng = range(n)
+    (A,) = _byte_tables(rng, add)
+    out = _group_violations(A)
     if out:
         return out
-    rng = range(n)
+    B, R, L = _byte_tables(rng, bullet, ra, la)
     s = raw.sigma
-    neg = raw.group.negation
+    ident = tuple(rng)
     cube = (rng, rng, rng)
     gens = _sum_generators(add)
 
     def sigma_fixes() -> tuple:
+        if bullet[s] == ident and tuple(map(itemgetter(s), bullet)) == ident:
+            return HOLDS
         return [(bullet[s][x], bullet[x][s]) for x in rng], [(x, x) for x in rng]
 
     def decomposed(x: int) -> tuple:
-        parts = zip(ra[x], la[x], ra[la[x][s]])
-        return list(bullet[x]), [add[r][add[l][neg[t]]] for r, l, t in parts]
+        """x•y + (x↼σ)⇀y against x⇀y + x↼y, as rows over y: in a group,
+        the same positions differ as in x•y against x⇀y + x↼y - (x↼σ)⇀y."""
+        return A.pairs(B.row(x), R.row(la[x][s])), A.pairs(R.row(x), L.row(x))
 
-    def distributive(code: str, message: str, name: str, row: Row) -> Law:
-        return Law(code, message, cube, row, decision=_distributes(name, rng, gens))
+    def distributive(code: str, message: str, name: str, row: Row, right: Row | None) -> Law:
+        return Law(code, message, cube, row, decision=_distributes(name, rng, gens, row=right))
+
+    def left(code: str, message: str, name: str, op: _ByteTable) -> Law:
+        return distributive(code, message, name, _left_distributive(op, A), None)
+
+    def right(code: str, message: str, name: str, op: _ByteTable) -> Law:
+        return distributive(code, message, name, _right_distributive(op, A), _right_columns(op, A))
 
     def trilinear(code: str, message: str, names: tuple[str, ...], row: Row) -> Law:
-        return Law(code, message, cube, row, decision=_multi_additive(names, rng, gens))
+        decision = _multi_additive(names, (gens, gens, rng))
+        return Law(code, message, cube, row, decision=decision)
 
     laws = (
-        distributive(
-            "bullet-left-distributive",
-            "x•(y+z) != x•y + x•z",
-            "•",
-            _left_distributive(bullet, add),
-        ),
-        distributive(
-            "bullet-right-distributive",
-            "(x+y)•z != x•z + y•z",
-            "•",
-            _right_distributive(bullet, add),
-        ),
-        trilinear("bullet-not-associative", "(x•y)•z != x•(y•z)", ("•",), _associative(bullet)),
+        left("bullet-left-distributive", "x•(y+z) != x•y + x•z", "•", B),
+        right("bullet-right-distributive", "(x+y)•z != x•z + y•z", "•", B),
+        trilinear("bullet-not-associative", "(x•y)•z != x•(y•z)", ("•",), _associative(B)),
         Law("bullet-identity-fails", "σ is not a •-identity", (rng,), sigma_fixes),
-        Law("product-decomposition", "x•y != x⇀y + x↼y - (x↼σ)⇀y", (rng, rng), decomposed),
+        Law(
+            "product-decomposition",
+            "x•y != x⇀y + x↼y - (x↼σ)⇀y",
+            (rng, rng),
+            decomposed,
+            decision=_multi_additive(("•", "⇀", "↼"), (gens, rng)),
+        ),
         trilinear(
             "strong-law-bullet-link",
             "(x⇀y)•z != x•(y↼z)",
             ("•", "⇀", "↼"),
-            _bracketed(bullet, ra, bullet, la),
+            _bracketed(B, R, B, L),
         ),
-        trilinear(
-            "strong-law-rarrow", "x⇀(y•z) != (x⇀y)⇀z", ("⇀", "•"), _bracketed(ra, ra, ra, bullet)
-        ),
+        trilinear("strong-law-rarrow", "x⇀(y•z) != (x⇀y)⇀z", ("⇀", "•"), _bracketed(R, R, R, B)),
         trilinear(
             "strong-law-larrow",
             "(x•y)↼z != (x↼y)↼z",
             ("↼", "•"),
             lambda x, y: (la[bullet[x][y]], la[la[x][y]]),
         ),
-        distributive(
-            "rarrow-left-distributive", "x⇀(y+z) != x⇀y + x⇀z", "⇀", _left_distributive(ra, add)
-        ),
-        distributive(
-            "rarrow-right-distributive", "(x+y)⇀z != x⇀z + y⇀z", "⇀", _right_distributive(ra, add)
-        ),
-        distributive(
-            "larrow-left-distributive", "x↼(y+z) != x↼y + x↼z", "↼", _left_distributive(la, add)
-        ),
-        distributive(
-            "larrow-right-distributive", "(x+y)↼z != x↼z + y↼z", "↼", _right_distributive(la, add)
-        ),
+        left("rarrow-left-distributive", "x⇀(y+z) != x⇀y + x⇀z", "⇀", R),
+        right("rarrow-right-distributive", "(x+y)⇀z != x⇀z + y⇀z", "⇀", R),
+        left("larrow-left-distributive", "x↼(y+z) != x↼y + x↼z", "↼", L),
+        right("larrow-right-distributive", "(x+y)↼z != x↼z + y↼z", "↼", L),
         trilinear(
             "rarrow-not-associative",
             "⇀ is not associative (inconsistent input: this must follow)",
             ("⇀",),
-            _associative(ra),
+            _associative(R),
         ),
         trilinear(
             "larrow-not-associative",
             "↼ is not associative (inconsistent input: this must follow)",
             ("↼",),
-            _associative(la),
+            _associative(L),
         ),
     )
     return list(_law_violations(laws))
@@ -225,10 +227,15 @@ def hl_commutativity_violation(ring: HlRing) -> Violation | None:
     add, neg, halo, la = ring.group.add, ring.group.negation, ring.halo, ring.larrow
     rng = ring.elements()
     inside = [True] * ring.order
-    witness = _first_witness(
-        lambda x: ([add[v][neg[r[x]]] in halo for v, r in zip(ring.rarrow[x], la)], inside),
-        (rng, rng),
-    )
+    columns = tuple(zip(*la))
+
+    def row(x: int) -> tuple:
+        minus_yx = map(neg.__getitem__, columns[x])
+        if halo.issuperset(map(getitem, map(add.__getitem__, ring.rarrow[x]), minus_yx)):
+            return HOLDS
+        return [add[v][neg[r[x]]] in halo for v, r in zip(ring.rarrow[x], la)], inside
+
+    witness = _first_witness(row, (rng, rng))
     if witness is None:
         return None
     return Violation("not-hl-commutative", witness, "x⇀y - y↼x is outside the halo")
@@ -242,13 +249,11 @@ def from_lcrng(structure: LcRng) -> HlRing:
     """Bridge: σ = the designated left identity, x⇀y = y·x, x↼y = x·y,
     • = the induced product.  Validated at runtime rather than trusted."""
     _require_whole("structure", structure)
-    n = structure.order
     mul = structure.mul
-    rarrow = tuple(tuple(mul[y][x] for y in range(n)) for x in range(n))
     raw = RawHlRing(
         group=structure.group,
         bullet=induced_table(structure),
-        rarrow=rarrow,
+        rarrow=tuple(zip(*mul)),
         larrow=mul,
         sigma=structure.left_identity,
         name=f"hl({structure.name})" if structure.name else "",
@@ -273,44 +278,45 @@ def from_lcrng(structure: LcRng) -> HlRing:
 
 
 # Loday's associative-dialgebra axioms with < as ↼ and > as ⇀.  Each row
-# function takes the (<, >) tables and x, y, and returns both sides as rows
-# over z.
+# function takes the (<, >) tables in the law engine's row form
+# (`kernel._ByteTable`) and x, y, and returns both sides as rows over z.
 DIALGEBRA_IDENTITIES: tuple[tuple[str, Callable[..., tuple]], ...] = (
-    ("(x<y)<z == x<(y<z)", lambda lt, gt, x, y: (list(lt[lt[x][y]]), [lt[x][v] for v in lt[y]])),
-    (
-        "x<(y<z) == x<(y>z)",
-        lambda lt, gt, x, y: ([lt[x][v] for v in lt[y]], [lt[x][v] for v in gt[y]]),
-    ),
-    ("(x>y)<z == x>(y<z)", lambda lt, gt, x, y: (list(lt[gt[x][y]]), [gt[x][v] for v in lt[y]])),
-    ("(x<y)>z == (x>y)>z", lambda lt, gt, x, y: (gt[lt[x][y]], gt[gt[x][y]])),
-    ("x>(y>z) == (x>y)>z", lambda lt, gt, x, y: ([gt[x][v] for v in gt[y]], list(gt[gt[x][y]]))),
+    ("(x<y)<z == x<(y<z)", lambda lt, gt, x, y: (lt.row(lt.table[x][y]), lt.at(x, lt.row(y)))),
+    ("x<(y<z) == x<(y>z)", lambda lt, gt, x, y: (lt.at(x, lt.row(y)), lt.at(x, gt.row(y)))),
+    ("(x>y)<z == x>(y<z)", lambda lt, gt, x, y: (lt.row(gt.table[x][y]), gt.at(x, lt.row(y)))),
+    ("(x<y)>z == (x>y)>z", lambda lt, gt, x, y: (gt.row(lt.table[x][y]), gt.row(gt.table[x][y]))),
+    ("x>(y>z) == (x>y)>z", lambda lt, gt, x, y: (gt.at(x, gt.row(y)), gt.row(gt.table[x][y]))),
 )
 
 
 def diassociativity_report(ring: HlRing) -> dict[str, bool]:
     """Which of the five associative-dialgebra identities hold (< is ↼,
     > is ⇀).  This is a report, never a validation gate, and the ring need
-    not be validated: the identities are decided on generators only when +
-    is an abelian group and both arrows distribute over it, and are scanned
-    in full otherwise."""
-    add, lt, gt = ring.group.add, ring.larrow, ring.rarrow
+    not be validated beyond the shape of its arrows: the identities are
+    decided on generators only when + is an abelian group and both arrows
+    distribute over it, and are scanned in full otherwise."""
     rng = ring.elements()
     cube = (rng, rng, rng)
+    LT, GT = _byte_tables(rng, check_table_shape(ring.larrow), check_table_shape(ring.rarrow))
     try:
-        gens = None if group_violations(add) else _sum_generators(add)
+        (A,) = _byte_tables(rng, check_table_shape(ring.group.add))
+        gens = None if _group_violations(A) else _sum_generators(A.table)
     except InputError:
         gens = None
     gates: tuple[Law, ...] = ()
     decision = None
     if gens is not None:
         gates = tuple(
-            Law(name, "", cube, row(table, add), decision=_distributes(name, rng, gens))
-            for name, table in (("<", lt), (">", gt))
-            for row in (_left_distributive, _right_distributive)
+            Law(name, "", cube, row, decision=_distributes(name, rng, gens, row=right))
+            for name, T in (("<", LT), (">", GT))
+            for row, right in (
+                (_left_distributive(T, A), None),
+                (_right_distributive(T, A), _right_columns(T, A)),
+            )
         )
-        decision = _multi_additive(("<", ">"), rng, gens)
+        decision = _multi_additive(("<", ">"), (gens, gens, rng))
     laws = [
-        Law(name, "", cube, partial(row, lt, gt), decision=decision)
+        Law(name, "", cube, partial(row, LT, GT), decision=decision)
         for name, row in DIALGEBRA_IDENTITIES
     ]
     return dict(zip((name for name, _ in DIALGEBRA_IDENTITIES), _law_holds(laws, gates)))

@@ -30,6 +30,7 @@ from typing import Iterable
 
 from .errors import InputError, Violation
 from .kernel import (
+    HOLDS,
     Law,
     Subset,
     Table,
@@ -68,7 +69,10 @@ def _closed(code: str, message: str, domains: tuple, table: Table, target: Subse
     everywhere = [True] * len(ys)
 
     def row(*prefix: int) -> tuple:
-        return [table[prefix[-1]][y] in target for y in ys], everywhere
+        products = table[prefix[-1]]
+        if target.issuperset(map(products.__getitem__, ys)):
+            return HOLDS
+        return [products[y] in target for y in ys], everywhere
 
     return Law(code, message, domains, row)
 

@@ -1,6 +1,11 @@
 """Finite abelian groups, operation tables, subset utilities, and the law
 engine that every validator runs: a law is decided on additive generators
 where it can be, and scanned in full only to place its first witness.
+The engine compares whole rows: each validator call turns each table into
+bytes rows once (`_ByteTable`), so a gather t[x][s_i] along a row s is one
+`bytes.translate`, and a row that holds costs a constant number of C-level
+calls.  Only this module knows that representation; tables above order 256
+are refused, since entries must fit a byte.
 Subgroups are sums of cyclic subgroups:
 H + <x> = {h + k·x} is already a subgroup, so one multiples walk serves
 closure, the subgroup lattice, generator sequences and element orders, and
@@ -18,12 +23,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import getitem, itemgetter
+from operator import contains, getitem, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, ValidationFailure, Violation
 
 SENTINEL = -1
+# Byte rows need every entry below 256 (see _ByteTable).
+MAX_TABLE_ORDER = 256
 
 Table = tuple[tuple[int, ...], ...]
 Subset = frozenset[int]
@@ -64,10 +71,16 @@ def _row_check(
 
 
 def check_table_shape(rows: Sequence[Sequence[int]], *, allow_sentinel: bool = False) -> Table:
-    """Shape/range discipline for an n-by-n table; raises InputError."""
+    """Shape/range discipline for an n-by-n table; raises InputError.
+    Orders above MAX_TABLE_ORDER are refused before any row is read."""
     n = len(rows)
     if n == 0:
         raise InputError("non-square-table", "table has no rows")
+    if n > MAX_TABLE_ORDER:
+        raise InputError(
+            "order-too-large",
+            f"tables are capped at order {MAX_TABLE_ORDER} (entries must fit a byte), got {n}",
+        )
     fits, first_bad = _row_check(n, (SENTINEL,) if allow_sentinel else ())
     exact = True
     for i, row in enumerate(rows):
@@ -136,30 +149,116 @@ class FiniteAbelianGroup:
 
 Row = Callable[..., tuple]
 
+# What a row function may return for a row it has settled as holding in one
+# step: two equal empty sides.
+HOLDS: tuple = ((), ())
+
+
+def _byte_rows(rows: Iterable[Sequence[int]]) -> list[bytes]:
+    """Rows as bytes.  A partial table's SENTINEL entries, which no law
+    reads, become 255."""
+    rows = list(rows)
+    try:
+        return list(map(bytes, rows))
+    except ValueError:
+        return [bytes(map((255).__and__, r)) for r in rows]
+
+
+class _ByteTable:
+    """A table in the law engine's row form, built once per validator call.
+
+    Rows run over a domain D of indices (the carrier): row(x) is t[x][d]
+    for d in D, as bytes, and `columns[z]` is t[d][z].  Each whole row (and
+    column) is also a 256-byte translate table, so at(x, s) = t[x][s_i] for
+    a row s is one s.translate call; pairs(s, u) = t[s_i][u_i] gathers from
+    a different row at each i.  Entries must be below 256
+    (check_table_shape refuses larger orders); `table` keeps the tuples for
+    single lookups.  Only rows and columns on the carrier are built: on a
+    proper carrier they are keyed by element in dicts.
+    """
+
+    def __init__(self, table: Table, over: bytes):
+        self.table = table
+        self.over = over
+        # A carrier of n distinct indices below n is the whole group.
+        self.whole = len(over) == len(table)
+        if self.whole:
+            self._row_list = _byte_rows(table)
+        else:  # only rows and columns on the carrier are read
+            # The first index twice, so that itemgetter always returns a tuple.
+            pick = itemgetter(over[0], *over)
+            self._row_list = [r[1:] for r in _byte_rows(map(pick, pick(table)[1:]))]
+        self.rows = self._keyed(self._row_list)
+        self.maps = self._keyed(self._translate_tables(self._row_list))
+
+    def _keyed(self, values: list[bytes]) -> list[bytes] | dict[int, bytes]:
+        """One value per carrier element, in order, indexed by element."""
+        return values if self.whole else dict(zip(self.over, values))
+
+    def _translate_tables(self, lines: list[bytes]) -> list[bytes]:
+        """Rows or columns over the carrier as translate tables, right at
+        the carrier's positions."""
+        if self.whole:
+            return [line.ljust(256, b"\0") for line in lines]
+        return [bytes.maketrans(self.over, line) for line in lines]
+
+    @cached_property
+    def _column_list(self) -> list[bytes]:
+        return list(map(bytes, zip(*self._row_list)))
+
+    @cached_property
+    def columns(self) -> list[bytes] | dict[int, bytes]:
+        return self._keyed(self._column_list)
+
+    @cached_property
+    def column_maps(self) -> list[bytes] | dict[int, bytes]:
+        return self._keyed(self._translate_tables(self._column_list))
+
+    def row(self, x: int) -> bytes:
+        return self.rows[x]
+
+    def at(self, x: int, s: bytes) -> bytes:
+        return s.translate(self.maps[x])
+
+    def pairs(self, s: bytes, u: bytes) -> bytes:
+        return bytes(map(getitem, map(self.maps.__getitem__, s), u))
+
+
+def _byte_tables(carrier: Sequence[int], *tables: Table) -> list[_ByteTable]:
+    """Each table with its rows over the carrier, for one validator call."""
+    over = bytes(carrier)
+    return [_ByteTable(t, over) for t in tables]
+
 
 class Decision(NamedTuple):
     """A law decided on a few tuples, `domains`, instead of its own.
 
-    A decision that `proves` a table is one of that table's distributive
-    laws over +; one that `needs` tables is sound only once every decision
-    proving one of them has held.  See `_distributes`, `_multi_additive` and
+    The decision compares `row`, or the law's own row when it has none.  A
+    decision that `proves` a table is one of that table's distributive laws
+    over +; one that `needs` tables is sound only once every decision
+    proving one of them has held.  `premises` are codes of laws that must
+    have been checked and held before the decision is used; otherwise the
+    law is scanned in full.  See `_distributes`, `_multi_additive` and
     `_light` for the three kinds and why each is exact.
     """
 
     domains: tuple[Sequence[int], ...]
     proves: str = ""
     needs: tuple[str, ...] = ()
+    premises: tuple[str, ...] = ()
+    row: Row | None = None
 
 
 class Law(NamedTuple):
     """One axiom, checked over product(*domains) in row-major order.
 
     row(*prefix) gets all but the last coordinate and returns both sides of
-    the law as two sequences of one type over the last domain; a nullary
-    law (no domains) returns two plain values.  `message` is formatted with
-    the witness.  The law is skipped once a law coded in `requires` failed.
-    A law with a `decision` is scanned in full only when the decision does
-    not show that it holds, to place its witness.
+    the law as two sequences of one type over the last domain, or HOLDS
+    when a one-step test shows the row holds; a nullary law (no domains)
+    returns two plain values.  `message` is formatted with the witness.
+    The law is skipped once a law coded in `requires` failed.  A law with a
+    `decision` is scanned in full only when the decision does not show
+    that it holds, to place its witness.
     """
 
     code: str
@@ -175,27 +274,40 @@ class Law(NamedTuple):
 # With the last coordinate on the whole carrier, rows stay whole rows.
 
 
-def _distributes(table: str, carrier: Sequence[int], gens: Sequence[int]) -> Decision:
+def _distributes(
+    table: str,
+    carrier: Sequence[int],
+    gens: Sequence[int],
+    *,
+    row: Row | None = None,
+    premises: tuple[str, ...] = (),
+) -> Decision:
     """x(y+z) = xy + xz, or (x+y)z = xz + yz, with y only on the generators.
 
     The y for which the law holds for all x and z are closed under +:
     x((y+y')+z) = x(y+(y'+z)) = xy + xy' + xz and x(y+y') = xy + xy', and
-    the same for the right law; so they are the whole carrier.
+    the same for the right law; so they are the whole carrier, once it is
+    a subgroup that `gens` generates.  With no generators the carrier is
+    {0}, and the law at (0, 0, 0) must follow from the premises (closure:
+    0·0 = 0).  The right law is decided on columns: `row=_right_columns(...)`.
     """
-    return Decision((carrier, gens, carrier), proves=table)
+    return Decision((carrier, gens, carrier), proves=table, premises=premises, row=row)
 
 
 def _multi_additive(
-    tables: tuple[str, ...], carrier: Sequence[int], gens: Sequence[int]
+    tables: tuple[str, ...],
+    domains: tuple[Sequence[int], ...],
+    premises: tuple[str, ...] = (),
 ) -> Decision:
-    """A law whose two sides are additive in x, y and z once the named
-    tables distribute on both sides, with x and y only on the generators.
+    """A law whose two sides are additive in each variable once the named
+    tables distribute on both sides, decided with every variable but the
+    last only on generators of its domain.
 
     The difference of the sides is additive in each coordinate, so from
-    (gens, gens, carrier) it vanishes on (carrier, gens, carrier) and then
+    generators it vanishes on each whole domain in turn, and then
     everywhere.
     """
-    return Decision((gens, gens, carrier), needs=tables)
+    return Decision(domains, needs=tables, premises=premises)
 
 
 def _light(carrier: Sequence[int], gens: Sequence[int]) -> Decision:
@@ -249,10 +361,11 @@ def _first_witness(row: Row, domains: tuple[Sequence[int], ...]) -> tuple[int, .
     return None
 
 
-def _decider(laws: Sequence[Law]) -> Callable[[Law], bool | None]:
+def _decider(laws: Sequence[Law], held: set[str]) -> Callable[[Law], bool | None]:
     """verdict(law): whether a law of `laws` holds by its decision, or None
-    when it has none or one it needs has not held.  Each decision runs at
-    most once per validator call."""
+    when it has none, a premise is not among the codes `held` so far, or a
+    decision it needs has not held.  Each decision runs at most once per
+    validator call."""
     provers: dict[str, list[Law]] = {}
     for law in laws:
         if law.decision is not None and law.decision.proves:
@@ -264,8 +377,11 @@ def _decider(laws: Sequence[Law]) -> Callable[[Law], bool | None]:
         if decision is None:
             return None
         if id(law) not in memo:
-            ready = all(verdict(p) for table in decision.needs for p in provers[table])
-            memo[id(law)] = _first_witness(law.row, decision.domains) is None if ready else None
+            ready = held.issuperset(decision.premises) and all(
+                verdict(p) for table in decision.needs for p in provers[table]
+            )
+            row = decision.row or law.row
+            memo[id(law)] = _first_witness(row, decision.domains) is None if ready else None
         return memo[id(law)]
 
     return verdict
@@ -275,61 +391,87 @@ def _law_violations(laws: Iterable[Law]) -> Iterator[Violation]:
     """One violation per failed law, in table order, each law decided or
     scanned on demand."""
     laws = tuple(laws)
-    verdict = _decider(laws)
+    held: set[str] = set()
+    verdict = _decider(laws, held)
     failed: set[str] = set()
     for law in laws:
-        if failed.isdisjoint(law.requires) and not verdict(law):
-            witness = _first_witness(law.row, law.domains)
-            if witness is not None:
-                yield Violation(law.code, witness, law.message.format(*witness))
+        if failed.isdisjoint(law.requires):
+            witness = None if verdict(law) else _first_witness(law.row, law.domains)
+            if witness is None:
+                held.add(law.code)
+            else:
+                held.discard(law.code)
                 failed.add(law.code)
+                yield Violation(law.code, witness, law.message.format(*witness))
 
 
 def _law_holds(laws: Sequence[Law], gates: Sequence[Law] = ()) -> list[bool]:
     """Whether each law holds, by its decision where that settles it and by
     a full scan otherwise.  `gates` are laws that only prove tables for the
     decisions of `laws`; their own verdicts are not asked for."""
-    verdict = _decider((*gates, *laws))
+    verdict = _decider((*gates, *laws), set())
     return [
         _first_witness(law.row, law.domains) is None if (v := verdict(law)) is None else v
         for law in laws
     ]
 
 
-def _gathers(table: Table) -> list[Callable[[Sequence[int]], tuple[int, ...]]]:
-    """gathers[y](s) is the tuple of s[v] for v in table[y], built in C."""
-    if len(table) == 1:  # itemgetter of a single index returns a bare value
-        return [lambda s, v=table[0][0]: (s[v],)]
-    return [itemgetter(*row) for row in table]
+# The shared rows, over _ByteTables: a gather t[x][s_i] is one translate.
 
 
-def _bracketed(f: Table, g: Table, h: Table, k: Table) -> Row:
+def _bracketed(f: _ByteTable, g: _ByteTable, h: _ByteTable, k: _ByteTable) -> Row:
     """(x g y) f z against x h (y k z), as rows over z."""
-    over_k = _gathers(k)
-    return lambda x, y: (f[g[x][y]], over_k[y](h[x]))
+    f_rows, g_table, h_maps, k_rows = f.rows, g.table, h.maps, k.rows
+    return lambda x, y: (f_rows[g_table[x][y]], k_rows[y].translate(h_maps[x]))
 
 
-def _associative(op: Table) -> Row:
+def _associative(op: _ByteTable) -> Row:
     """(xy)z against x(yz), as rows over z."""
     return _bracketed(op, op, op, op)
 
 
-def _commutative(op: Table) -> Row:
+def _commutative(op: _ByteTable) -> Row:
     """xy against yx, as rows over y."""
-    columns = tuple(zip(*op))
-    return lambda x: (op[x], columns[x])
+    rows = op.rows
+    return lambda x: (rows[x], op.columns[x])
 
 
-def _left_distributive(op: Table, add: Table) -> Row:
-    """x(y+z) against xy + xz, as rows over z."""
-    over_add, over_op = _gathers(add), _gathers(op)
-    return lambda x, y: (over_add[y](op[x]), over_op[x](add[op[x][y]]))
+def _left_distributive(op: _ByteTable, add: _ByteTable) -> Row:
+    """x(y+z) against xy + xz, as rows over z: two translates."""
+    op_table, op_rows, op_maps, add_rows, add_maps = op.table, op.rows, op.maps, add.rows, add.maps
+    return lambda x, y: (
+        add_rows[y].translate(op_maps[x]),
+        op_rows[x].translate(add_maps[op_table[x][y]]),
+    )
 
 
-def _right_distributive(op: Table, add: Table) -> Row:
-    """(x+y)z against xz + yz, as rows over z."""
-    over_op = _gathers(op)
-    return lambda x, y: (op[add[x][y]], tuple(map(getitem, over_op[x](add), op[y])))
+def _right_distributive(op: _ByteTable, add: _ByteTable) -> Row:
+    """(x+y)z against xz + yz, as rows over z, in row-major order.
+
+    xz + yz gathers from a different row of + at each z, so it is not a
+    translate; the rows add[xz] are gathered once per x."""
+    op_rows, add_table, add_maps = op.rows, add.table, add.maps
+    gathered: list = [None, ()]
+
+    def row(x: int, y: int) -> tuple:
+        if gathered[0] != x:
+            gathered[:] = x, list(map(add_maps.__getitem__, op_rows[x]))
+        return op_rows[add_table[x][y]], bytes(map(getitem, gathered[1], op_rows[y]))
+
+    return row
+
+
+def _right_columns(op: _ByteTable, add: _ByteTable) -> Row:
+    """(g+x)z against gz + xz, as rows over x for each (z, g): the column
+    map x -> xz is additive.  Over (z, g in generators, x) this is the
+    right distributive law with y on generators once + is commutative,
+    which the group laws prove before any decision runs; the decision
+    for the right law (`_distributes(..., row=_right_columns(op, add))`)."""
+    op_table, add_rows, add_maps = op.table, add.rows, add.maps
+    return lambda z, g: (
+        add_rows[g].translate(op.column_maps[z]),
+        op.columns[z].translate(add_maps[op_table[g][z]]),
+    )
 
 
 GROUP_CHECKS = (
@@ -345,34 +487,38 @@ def group_violations(add: Sequence[Sequence[int]]) -> list[Violation]:
 
     Each axiom scan stops at the first failing tuple in row-major order.
     """
-    return _group_violations(check_table_shape(add))
+    t = check_table_shape(add)
+    return _group_violations(*_byte_tables(range(len(t)), t))
 
 
-def _group_violations(t: Table) -> list[Violation]:
-    """group_violations over a table that already passed check_table_shape."""
+def _group_violations(add: _ByteTable) -> list[Violation]:
+    """group_violations over a table that already passed check_table_shape,
+    with its rows over the whole group."""
+    t, rows, ident = add.table, add.rows, add.over
     rng = range(len(t))
     gens = _sum_generators(t)
+
+    def zero_law() -> tuple:
+        if rows[0] == ident and add.columns[0] == ident:
+            return HOLDS
+        return list(zip(t[0], [r[0] for r in t])), list(zip(rng, rng))
+
+    def inverses() -> tuple:
+        if all(map(contains, rows, itertools.repeat(0))):
+            return HOLDS
+        return [0 in r for r in t], [True] * len(t)
+
     laws = (
-        Law(
-            "zero-not-at-index-zero",
-            "index 0 does not act as zero on {}",
-            (rng,),
-            lambda: (list(zip(t[0], [r[0] for r in t])), list(zip(rng, rng))),
-        ),
-        Law("add-not-commutative", "not commutative", (rng, rng), _commutative(t)),
+        Law("zero-not-at-index-zero", "index 0 does not act as zero on {}", (rng,), zero_law),
+        Law("add-not-commutative", "not commutative", (rng, rng), _commutative(add)),
         Law(
             "add-not-associative",
             "not associative",
             (rng, rng, rng),
-            _associative(t),
+            _associative(add),
             decision=None if gens is None else _light(rng, gens),
         ),
-        Law(
-            "missing-additive-inverse",
-            "{} has no inverse",
-            (rng,),
-            lambda: ([0 in r for r in t], [True] * len(t)),
-        ),
+        Law("missing-additive-inverse", "{} has no inverse", (rng,), inverses),
     )
     return list(_law_violations(laws))
 

@@ -12,24 +12,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain, compress
+from operator import getitem, itemgetter
 
 from .errors import InputError, TheoremAlarm, ValidationFailure, Violation
 from .kernel import (
+    HOLDS,
     SENTINEL,
+    Decision,
     FiniteAbelianGroup,
     Law,
     Subset,
     Table,
     _associative,
+    _byte_tables,
     _distributes,
     _group_violations,
     _law_violations,
     _left_distributive,
     _multi_additive,
     _require_whole,
+    _right_columns,
     _right_distributive,
     _sum_generators,
     check_table_shape,
+    generating_sequence,
 )
 
 Metadata = tuple[tuple[str, object], ...]
@@ -163,6 +170,43 @@ LCRNG_CHECKS = (
 )
 
 
+# What every halo decision rests on: the halo is a subgroup, and # is
+# defined and closed on it.  The two multi-additive ones add that # is
+# commutative, so that its left distributive law makes it distribute on
+# both sides.
+HALO_RING = ("halo-not-subgroup", "local-mul-missing", "local-mul-not-closed")
+HALO_RING_COMMUTES = (*HALO_RING, "local-mul-not-commutative")
+
+
+def _halo_decisions(
+    group: FiniteAbelianGroup, halo: Subset, gens: list[int]
+) -> tuple[Decision, Decision, Decision] | tuple[None, None, None]:
+    """Decisions for the laws of # on the halo, on its additive generators,
+    or Nones when the halo is not a subgroup (those laws are then scanned
+    in full).
+
+    - a#(b+c) = a#b + a#c with b on the generators (`_distributes`).
+    - (a#b)#c = a#(b#c) with a and b on them, once # distributes.
+    - x·a in the halo and (x·a)#b = x·(a#b), with x on the generators
+      `gens` of R and a on the halo's, once · and # distribute: x·a is
+      additive in x and a and the halo is a subgroup, so the x and a that
+      pass are closed under +; each side is additive in each variable.
+
+    With no generators (the halo is {0}), closure gives 0#0 = 0 and each
+    law holds at (0, 0, 0).
+    """
+    try:
+        halo_gens = generating_sequence(group, halo)
+    except InputError:
+        return None, None, None
+    hs = sorted(halo)
+    return (
+        _distributes("#", hs, halo_gens, premises=HALO_RING),
+        _multi_additive(("#",), (halo_gens, halo_gens, hs), premises=HALO_RING_COMMUTES),
+        _multi_additive(("mul", "#"), (gens, halo_gens, hs), premises=HALO_RING_COMMUTES),
+    )
+
+
 def lcrng_violations(raw: RawLcRng) -> list[Violation]:
     """Every failed axiom (one violation per axiom, first witness each).
 
@@ -186,68 +230,118 @@ def _checked(raw: RawLcRng) -> tuple[list[Violation], LcRng | None]:
     if not (0 <= e < n):
         raise InputError("left-identity-out-of-range", f"designated left identity {e}")
 
-    out = _group_violations(add)
+    rng = range(n)
+    (A,) = _byte_tables(rng, add)
+    out = _group_violations(A)
     if out:
         return out, None
-    rng = range(n)
+    (M,) = _byte_tables(rng, mul)
     ident = tuple(rng)
     halo = frozenset(x for x in rng if mul[x][e] == 0)
-    hs = sorted(halo)
-    r0 = frozenset(mul[x][e] for x in rng)
-    local_identity = next((c for c in hs if [loc[c][a] for a in hs] == hs), None)
+    hs = tuple(sorted(halo))
+    r0 = frozenset(map(itemgetter(e), mul))
+    # # on the halo, as rows over the halo: loc_h[a][i] = a # hs[i].
+    loc_h = {a: tuple(map(loc[a].__getitem__, hs)) for a in hs}
+    loc_cols = dict(zip(hs, zip(*loc_h.values())))
+    local_identity = next((c for c in hs if loc_h[c] == hs), None)
     neg = raw.group.negation
     everywhere, on_halo = [True] * n, [True] * len(hs)
+    undefined, off_halo = (SENTINEL,) * n, [b not in halo for b in rng]
+    off_undefined = (SENTINEL,) * (n - len(hs))
     cube, halo_pairs, halo_cube = (rng, rng, rng), (hs, hs), (hs, hs, hs)
     local = ("local-mul-missing",)
     gens = _sum_generators(add)
     distributes = _distributes("mul", rng, gens)
-    trilinear = _multi_additive(("mul",), rng, gens)
+    trilinear = _multi_additive(("mul",), (gens, gens, rng))
+    local_distributes, local_trilinear, triassociates = _halo_decisions(raw.group, halo, gens)
 
     def left_commutative(x: int, y: int) -> tuple:
         return mul[mul[x][y]], mul[mul[y][x]]
 
     def identities() -> tuple:
-        return [mul[c] == ident and [r[c] for r in mul] == list(ident) for c in rng], [False] * n
+        lefts = compress(rng, map(ident.__eq__, mul))
+        two_sided = {c for c in lefts if tuple(map(itemgetter(c), mul)) == ident}
+        if not two_sided:
+            return HOLDS
+        return [c in two_sided for c in rng], [False] * n
 
     def halo_closed(a: int) -> tuple:
+        if halo.issuperset(map(add[a].__getitem__, hs)):
+            return HOLDS
         return [add[a][b] in halo for b in hs], on_halo
 
     def defined_on_halo(a: int) -> tuple:
+        if a in halo:
+            holds = tuple(compress(loc[a], off_halo)) == off_undefined
+        else:
+            holds = loc[a] == undefined
+        if holds:
+            return HOLDS
         on_pair = [a in halo and b in halo for b in rng]
         return [v == SENTINEL or ok for v, ok in zip(loc[a], on_pair)], everywhere
 
     def local_defined(a: int) -> tuple:
-        return [loc[a][b] != SENTINEL for b in hs], on_halo
+        if SENTINEL not in loc_h[a]:
+            return HOLDS
+        return [v != SENTINEL for v in loc_h[a]], on_halo
 
     def local_closed(a: int) -> tuple:
-        return [loc[a][b] in halo for b in hs], on_halo
+        if halo.issuperset(loc_h[a]):
+            return HOLDS
+        return [v in halo for v in loc_h[a]], on_halo
 
     def local_commutative(a: int) -> tuple:
-        return [loc[a][b] for b in hs], [loc[b][a] for b in hs]
+        return loc_h[a], loc_cols[a]
 
     def local_associative(a: int, b: int) -> tuple:
-        ab, lb = loc[a][b], loc[b]
+        ab, lb = loc[a][b], loc_h[b]
         if ab not in halo:
-            return on_halo, on_halo
-        return [lb[c] not in halo or loc[ab][c] == loc[a][lb[c]] for c in hs], on_halo
+            return HOLDS
+        if halo.issuperset(lb) and loc_h[ab] == tuple(map(loc[a].__getitem__, lb)):
+            return HOLDS
+        return [v not in halo or loc[ab][c] == loc[a][v] for c, v in zip(hs, lb)], on_halo
 
     def local_distributive(a: int, b: int) -> tuple:
-        return [loc[a][add[b][c]] for c in hs], [add[loc[a][b]][loc[a][c]] for c in hs]
+        row = loc[a]
+        return (
+            tuple(map(row.__getitem__, map(add[b].__getitem__, hs))),
+            tuple(map(add[row[b]].__getitem__, loc_h[a])),
+        )
 
     def has_local_identity() -> tuple:
         return local_identity is not None, True
 
+    # The rows of local-triassociativity at one x are settled together:
+    # x·hs in the halo, and (x·a)#b against x·(a#b) for every a and b at once.
+    loc_flat = tuple(chain.from_iterable(loc_h.values()))
+    loc_closed = halo.issuperset(loc_flat)
+    settled: list = [None, False]
+
     def triassociative(x: int, a: int) -> tuple:
-        xa, la = mul[x][a], loc[a]
+        if settled[0] != x:
+            xh = tuple(map(mul[x].__getitem__, hs))
+            settled[:] = x, (
+                loc_closed
+                and halo.issuperset(xh)
+                and tuple(chain.from_iterable(map(loc_h.__getitem__, xh)))
+                == tuple(map(mul[x].__getitem__, loc_flat))
+            )
+        if settled[1]:
+            return HOLDS
+        xa, la = mul[x][a], loc_h[a]
         if xa not in halo:
             return [False] * len(hs), on_halo
-        return [la[b] in halo and loc[xa][b] == mul[x][la[b]] for b in hs], on_halo
+        return [v in halo and loc[xa][b] == mul[x][v] for b, v in zip(hs, la)], on_halo
 
     def direct() -> tuple:
         return r0 & halo == {0} and len(r0) * len(halo) == n, True
 
     def splits() -> tuple:
-        parts = [(a, r[e], add[a][neg[r[e]]]) for a, r in zip(rng, mul)]
+        a0 = tuple(map(itemgetter(e), mul))
+        a1 = tuple(map(getitem, add, map(neg.__getitem__, a0)))
+        if halo.issuperset(a1) and tuple(map(getitem, map(add.__getitem__, a0), a1)) == ident:
+            return HOLDS
+        parts = zip(rng, a0, a1)
         return [a1 in halo and add[a0][a1] == a for a, a0, a1 in parts], everywhere
 
     laws = (
@@ -255,17 +349,17 @@ def _checked(raw: RawLcRng) -> tuple[list[Violation], LcRng | None]:
             "mul-left-distributive",
             "x(y+z) != xy+xz",
             cube,
-            _left_distributive(mul, add),
+            _left_distributive(M, A),
             decision=distributes,
         ),
         Law(
             "mul-right-distributive",
             "(x+y)z != xz+yz",
             cube,
-            _right_distributive(mul, add),
-            decision=distributes,
+            _right_distributive(M, A),
+            decision=_distributes("mul", rng, gens, row=_right_columns(M, A)),
         ),
-        Law("mul-not-associative", "(xy)z != x(yz)", cube, _associative(mul), decision=trilinear),
+        Law("mul-not-associative", "(xy)z != x(yz)", cube, _associative(M), decision=trilinear),
         Law("not-left-commutative", "xyz != yxz", cube, left_commutative, decision=trilinear),
         Law(
             "left-identity-fails",
@@ -285,16 +379,31 @@ def _checked(raw: RawLcRng) -> tuple[list[Violation], LcRng | None]:
         Law("local-mul-missing", "# undefined on a halo pair", halo_pairs, local_defined),
         Law("local-mul-not-closed", "# leaves the halo", halo_pairs, local_closed, local),
         Law("local-mul-not-commutative", "# not commutative", halo_pairs, local_commutative, local),
-        Law("local-mul-not-associative", "# not associative", halo_cube, local_associative, local),
+        Law(
+            "local-mul-not-associative",
+            "# not associative",
+            halo_cube,
+            local_associative,
+            local,
+            local_trilinear,
+        ),
         Law(
             "local-mul-not-distributive",
             "a#(b+c) != a#b+a#c",
             halo_cube,
             local_distributive,
             ("halo-not-subgroup", *local),
+            local_distributes,
         ),
         Law("no-local-identity", "the halo ring has no identity", (), has_local_identity, local),
-        Law("local-triassociativity", "(xa)#b != x(a#b)", (rng, hs, hs), triassociative, local),
+        Law(
+            "local-triassociativity",
+            "(xa)#b != x(a#b)",
+            (rng, hs, hs),
+            triassociative,
+            local,
+            triassociates,
+        ),
         Law("grading-not-direct", "carrier is not the direct sum of R0 and the halo", (), direct),
         Law(
             "grading-not-direct",
@@ -368,8 +477,13 @@ def induced_product(structure: LcRng, x: int, y: int) -> int:
 
 
 def induced_table(structure: LcRng) -> Table:
+    """induced_product on every pair, by whole rows: x*y = xy + c(yx), with
+    c(v) = v - v·e the halo component."""
     _require_whole("structure", structure)
-    n = structure.order
+    add, mul, neg = structure.group.add, structure.mul, structure.group.negation
+    columns = tuple(zip(*mul))
+    component = tuple(map(getitem, add, map(neg.__getitem__, columns[structure.left_identity])))
     return tuple(
-        tuple(induced_product(structure, x, y) for y in range(n)) for x in range(n)
+        tuple(map(getitem, map(add.__getitem__, row), map(component.__getitem__, column)))
+        for row, column in zip(mul, columns)
     )

@@ -39,7 +39,7 @@ def test_round_trip_hlring_and_ring(r4):
     assert parse_structure(emit_structure(z6)) == z6
     with pytest.raises(InputError) as err:
         emit_structure(component_ring(r4, 0))  # a ring on a proper subgroup
-    assert err.value.code == "unknown-kind"
+    assert err.value.code == "ring-not-on-whole-group"
 
 
 def test_round_trip_preserves_name_and_metadata(r4):

@@ -69,6 +69,20 @@ def test_non_square_table_is_an_input_error():
     assert err.value.code == "non-square-table"
 
 
+def test_tables_above_order_256_are_refused_before_any_row_is_read():
+    """Rows are bytes in the law engine, so 256 is the kernel's range; the
+    documented envelope of structure documents is 64."""
+    rows = [[(i + j) % 257 for j in range(257)] for i in range(257)]
+    with pytest.raises(InputError) as err:
+        group_violations(rows)
+    assert err.value.code == "order-too-large"
+    with pytest.raises(InputError) as err:
+        check_table_shape([None] * 257)  # rows that are not rows: none is read
+    assert err.value.code == "order-too-large"
+    z256 = [[(i + j) % 256 for j in range(256)] for i in range(256)]
+    assert group_violations(z256) == []
+
+
 def test_float_sentinel_is_refused():
     """Only the int SENTINEL stands for an undefined entry: -1.0 compares
     equal to it but is refused like 1.0 and True."""

@@ -11,10 +11,16 @@ decision both ways:
 - single-entry edits of those, which break distributivity, so the decisions
   that need it give way to full scans;
 - commutative + tables with zero at index 0, mostly not associative, and
-  single edits of groups, for Light's test.
+  single edits of groups, for Light's test;
+- for the laws of # on the halo, null structures with a halo of at least 4
+  elements under seeded # edits (some breaking its distributivity, closure
+  or definedness) and under whole new products that are bilinear, bilinear
+  on one side only, or bilinear but not closed.
 """
 
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -31,10 +37,16 @@ from huliu import (
     direct_sum_group,
     enumerate_subgroups,
     hlring_violations,
+    identity_hom,
     lcrng_violations,
+    ring_hom,
+    ring_product,
+    semidirect_null,
+    zmod,
 )
+from huliu import kernel
 from huliu.integrality import _verify_component_ring
-from huliu.kernel import group_violations
+from huliu.kernel import generating_sequence, group_violations
 
 from oracles import full_scans
 
@@ -226,3 +238,136 @@ def test_group_violations_match_full_scans(n):
     for group in groups:
         assert _same_as_full_scan(group_violations, group.add) == []
     assert "add-not-associative" in codes
+
+
+def _coordinates(group, members):
+    """{element: F2 coordinate vector} for an elementary abelian 2-subgroup,
+    over its greedy generators."""
+    gens = generating_sequence(group, frozenset(members))
+    coords = {}
+    for bits in itertools.product((0, 1), repeat=len(gens)):
+        coords[group.sum(g for g, b in zip(gens, bits) if b)] = bits
+    return coords
+
+
+def _product_on_halo(rand, raw, kind):
+    """A new # on the halo of a null structure on an elementary abelian
+    2-group, SENTINEL elsewhere:
+
+    - "bilinear": a random symmetric bilinear product into the halo, so #
+      is closed, commutative and distributive, and mostly neither
+      associative nor triassociative;
+    - "left-only": a#b = h(a)·b for a random map h and a random bilinear ·,
+      distributive on the left only and not commutative;
+    - "unclosed": a random symmetric bilinear product into the whole group.
+    """
+    group, n = raw.group, raw.group.order
+    halo = [x for x in range(n) if raw.mul[x][raw.left_identity] == 0]
+    source = _coordinates(group, halo)
+    target = _coordinates(group, range(n)) if kind == "unclosed" else source
+    element = {bits: x for x, bits in target.items()}
+    k, m = len(next(iter(source.values()))), len(next(iter(target.values())))
+    c = [[[rand.randrange(2) for _ in range(k)] for _ in range(k)] for _ in range(m)]
+    for plane in c:
+        for i in range(k):
+            for j in range(i):
+                plane[i][j] = plane[j][i]
+
+    def bilinear(u, v):
+        return element[
+            tuple(sum(p[i][j] * u[i] * v[j] for i in range(k) for j in range(k)) % 2 for p in c)
+        ]
+
+    twist = {a: rand.choice(halo) for a in halo}
+    rows = [[SENTINEL] * n for _ in range(n)]
+    for a in halo:
+        for b in halo:
+            u = source[twist[a]] if kind == "left-only" else source[a]
+            rows[a][b] = bilinear(u, source[b])
+    return tuple(map(tuple, rows))
+
+
+def _returning_product(raw):
+    """# on a halo {0, h1, h2, h1+h2} of exponent 2 with h1#h1 = h1+o and
+    h1#h2 = h2#h1 = h2#h2 = o for some o off the halo, extended bilinearly:
+    commutative and distributive, every product of generators leaves the
+    halo, and (h1+h2)#(h1+h2) = h1 comes back, where (h1+h2)#((h1+h2)#h1)
+    and h1#h1 differ.  The generator rows hold only because # is not
+    closed."""
+    group, n = raw.group, raw.group.order
+    add = group.add
+    halo = frozenset(x for x in range(n) if raw.mul[x][raw.left_identity] == 0)
+    h1, h2 = generating_sequence(group, halo)
+    o = min(x for x in range(n) if x not in halo)
+    coords = _coordinates(group, halo)
+    table = {(1, 1): add[h1][o], (1, 2): o, (2, 1): o, (2, 2): o}
+    rows = [[SENTINEL] * n for _ in range(n)]
+    for a in halo:
+        for b in halo:
+            pairs = itertools.product(range(2), repeat=2)
+            terms = (table[i + 1, j + 1] for i, j in pairs if coords[a][i] * coords[b][j])
+            rows[a][b] = group.sum(terms)
+    return tuple(map(tuple, rows))
+
+
+def _halo_inputs(seed):
+    """Null structures with a halo of at least 4 elements, and seeded # on
+    them: single-entry edits inside the halo (some symmetric, some leaving
+    it, some undefined) and whole products from `_product_on_halo`."""
+    rand = random.Random(seed)
+    z2, z2xz2 = zmod(2), ring_product(zmod(2), zmod(2))
+    z2x3 = ring_product(z2xz2, zmod(2))
+    bases = [
+        semidirect_null(z2, z2xz2, ring_hom(z2, z2xz2, [0, 3])),
+        semidirect_null(z2xz2, z2xz2, identity_hom(z2xz2)),
+        semidirect_null(z2, z2x3, ring_hom(z2, z2x3, [0, 7])),
+        semidirect_null(zmod(4), zmod(4), identity_hom(zmod(4))),
+    ]
+    for raw in bases:
+        n = raw.group.order
+        halo = [x for x in range(n) if raw.mul[x][raw.left_identity] == 0]
+        yield raw
+        for _ in range(CASES):
+            rows = [list(r) for r in raw.local_mul]
+            a, b = rand.choice(halo), rand.choice(halo)
+            kind = rand.random()
+            if kind < 0.5:
+                rows[a][b] = rows[b][a] = rand.choice([v for v in halo if v != rows[a][b]])
+            elif kind < 0.8:
+                rows[a][b] = rand.choice([v for v in range(n) if v != rows[a][b]])
+            else:
+                rows[a][b] = SENTINEL
+            yield replace(raw, local_mul=tuple(map(tuple, rows)))
+        if len(halo) & (len(halo) - 1) == 0 and all(raw.group.add[x][x] == 0 for x in range(n)):
+            for kind in ("bilinear", "left-only", "unclosed") * (CASES // 4):
+                yield replace(raw, local_mul=_product_on_halo(rand, raw, kind))
+            if len(halo) == 4:
+                yield replace(raw, local_mul=_returning_product(raw))
+
+
+HALO_CODES = ("local-mul-not-associative", "local-mul-not-distributive", "local-triassociativity")
+
+
+def test_halo_decisions_match_full_scans(monkeypatch):
+    """The halo laws decided on the halo's generators agree with full scans
+    on every input, and each halo decision is used with both verdicts."""
+    verdicts = set()
+    decider = kernel._decider
+
+    def recording(laws, held):
+        verdict = decider(laws, held)
+
+        def recorded(law):
+            v = verdict(law)
+            verdicts.add((law.code, v))
+            return v
+
+        return recorded
+
+    monkeypatch.setattr(kernel, "_decider", recording)
+    reported = set()
+    for raw in _halo_inputs("halo"):
+        reported.update(v.code for v in _same_as_full_scan(lcrng_violations, raw))
+    for code in HALO_CODES:
+        assert {(code, True), (code, False)} <= verdicts, code
+    assert set(HALO_CODES) | {"local-mul-not-closed", "local-mul-missing"} <= reported
