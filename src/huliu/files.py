@@ -6,6 +6,12 @@ sits at index 0.  Parsing refuses orders above 64 and then checks shape
 only — algebraic validation is a separate step — and emit produces
 canonical bytes (sorted keys, fixed indentation), so parse∘emit is the
 identity on structures and emit is deterministic byte-for-byte.
+
+The shape check made while reading is the only one a parsed table gets:
+each table is returned marked as checked (`kernel._Checked`), and the
+validators' `check_table_shape` returns a marked table at once.  Emit
+renders a row of a checked table by joining precomputed entry strings,
+and any other table through `json.dumps`, with the same text.
 """
 
 from __future__ import annotations
@@ -16,7 +22,15 @@ from typing import Any
 from .constructions import FiniteCommRing
 from .errors import InputError
 from .hlring import HlRing, RawHlRing
-from .kernel import SENTINEL, FiniteAbelianGroup, Table, _require_whole, _row_check
+from .kernel import (
+    SENTINEL,
+    FiniteAbelianGroup,
+    Table,
+    _Checked,
+    _CheckedPartial,
+    _require_whole,
+    _row_check,
+)
 from .lcrng import LcRng, Metadata, RawLcRng
 
 Structure = RawLcRng | RawHlRing | FiniteCommRing
@@ -34,6 +48,8 @@ def _shape_error(message: str) -> InputError:
 
 
 def _read_table(doc: dict, key: str, order: int, allow_null: bool = False) -> Table:
+    """The table under `key`, checked as `check_table_shape` checks it
+    (null for SENTINEL where allowed), and marked as checked."""
     rows = doc.get(key)
     if not isinstance(rows, list) or len(rows) != order:
         raise _shape_error(f"'{key}' must be a {order}x{order} array")
@@ -46,7 +62,7 @@ def _read_table(doc: dict, key: str, order: int, allow_null: bool = False) -> Ta
             j = first_bad(row)
             raise _shape_error(f"'{key}' entry ({i},{j}) is {row[j]!r}")
         out.append(tuple([SENTINEL if x is None else x for x in row] if allow_null else row))
-    return tuple(out)
+    return (_CheckedPartial if allow_null else _Checked)(out)
 
 
 def _read_index(doc: dict, key: str, order: int) -> int:
@@ -119,8 +135,15 @@ def parse_structure(text: str) -> Structure:
     )
 
 
-def _table_json(table: Table) -> list[list[int | None]]:
-    return [[None if x == SENTINEL else x for x in row] for row in table]
+def _table_json(table: Table) -> list[str]:
+    """Each row of a table as JSON text.  The entries of a checked table are
+    ints in range(n), or SENTINEL where it is allowed, so a row joins their
+    precomputed strings ("null" sits at index -1, SENTINEL's).  Any other
+    table, which may hold anything, goes through json.dumps row by row."""
+    if isinstance(table, (_Checked, _CheckedPartial)):
+        names = (*map(str, range(len(table))), "null")
+        return ["[" + ", ".join(map(names.__getitem__, row)) + "]" for row in table]
+    return [json.dumps([None if x == SENTINEL else x for x in row]) for row in table]
 
 
 def emit_structure(structure: Emittable) -> str:
@@ -166,7 +189,8 @@ def emit_structure(structure: Emittable) -> str:
 
 
 def _dumps(doc: dict[str, Any]) -> str:
-    """Canonical rendering: sorted keys, one table row per line."""
+    """Canonical rendering: sorted keys, one table row per line.  A list
+    value is a table as `_table_json` renders it."""
     lines = ["{"]
     keys = sorted(doc)
     for ki, key in enumerate(keys):
@@ -176,7 +200,7 @@ def _dumps(doc: dict[str, Any]) -> str:
             lines.append(f' "{key}": [')
             for ri, row in enumerate(value):
                 tail = "," if ri < len(value) - 1 else ""
-                lines.append("  " + json.dumps(row) + tail)
+                lines.append("  " + row + tail)
             lines.append(f" ]{comma}")
         else:
             lines.append(f' "{key}": ' + json.dumps(value, sort_keys=True) + comma)

@@ -29,6 +29,7 @@ from .kernel import (
     _bracketed,
     _byte_tables,
     _ByteTable,
+    _Checked,
     _distributes,
     _first_witness,
     _group_violations,
@@ -39,7 +40,6 @@ from .kernel import (
     _require_whole,
     _right_columns,
     _right_distributive,
-    _sum_generators,
     check_table_shape,
 )
 from .lcrng import LcRng, Metadata, induced_table
@@ -131,7 +131,7 @@ def hlring_violations(raw: RawHlRing) -> list[Violation]:
     s = raw.sigma
     ident = tuple(rng)
     cube = (rng, rng, rng)
-    gens = _sum_generators(add)
+    gens = A.sum_generators
 
     def sigma_fixes() -> tuple:
         if bullet[s] == ident and tuple(map(itemgetter(s), bullet)) == ident:
@@ -247,13 +247,17 @@ def is_hl_commutative(ring: HlRing) -> bool:
 
 def from_lcrng(structure: LcRng) -> HlRing:
     """Bridge: σ = the designated left identity, x⇀y = y·x, x↼y = x·y,
-    • = the induced product.  Validated at runtime rather than trusted."""
+    • = the induced product.  Validated at runtime rather than trusted.
+
+    The transpose of · and the induced table hold entries of · and of +,
+    which validation of the structure checked, so they are marked checked
+    and their shape is not checked again; the laws all are."""
     _require_whole("structure", structure)
-    mul = structure.mul
+    mul = check_table_shape(structure.mul)  # at once: validation checked it
     raw = RawHlRing(
         group=structure.group,
-        bullet=induced_table(structure),
-        rarrow=tuple(zip(*mul)),
+        bullet=_Checked(induced_table(structure)),
+        rarrow=_Checked(zip(*mul)),
         larrow=mul,
         sigma=structure.left_identity,
         name=f"hl({structure.name})" if structure.name else "",
@@ -300,7 +304,7 @@ def diassociativity_report(ring: HlRing) -> dict[str, bool]:
     LT, GT = _byte_tables(rng, check_table_shape(ring.larrow), check_table_shape(ring.rarrow))
     try:
         (A,) = _byte_tables(rng, check_table_shape(ring.group.add))
-        gens = None if _group_violations(A) else _sum_generators(A.table)
+        gens = None if _group_violations(A) else A.sum_generators
     except InputError:
         gens = None
     gates: tuple[Law, ...] = ()

@@ -7,7 +7,9 @@ coefficients in the matching component subring.  Witness search walks the
 ascending chain of coefficient-spans of {1, u, u², ...}: the least power
 falling into its span gives the minimal monic degree, and coefficients are
 recovered by exhaustive combination search with span pruning.  No linear
-algebra over non-fields is needed; everything stays exact.
+algebra over non-fields is needed; everything stays exact.  Over one pair
+the witnesses of u depend only on its components u·e and u - u·e, so a
+sweep over elements searches each component value once.
 """
 
 from __future__ import annotations
@@ -182,7 +184,11 @@ def _graded_search(
     searched.  The coefficient subrings are the parts of the structure
     restricted to the subrng, S ∩ R0 = S·e and S ∩ halo: subrings of the
     component rings, unital because a strict subrng holds e and 1₁, as
-    subrng_violation has proved."""
+    subrng_violation has proved.
+
+    w0 depends only on u·e and w1 only on u - u·e, so each component value
+    is searched once, at the first element that has it: |R0| + |R1|
+    searches on the whole carrier instead of 2|R|."""
     bad = subrng_violation(structure, subset)
     if bad is not None:
         raise InputError("not-a-subrng", str(bad))
@@ -193,10 +199,15 @@ def _graded_search(
     members0, members1 = sorted(s0), sorted(s1)
     ring0 = component_ring(structure, 0)
     ring1 = component_ring(structure, 1)
+    found0: dict[int, IntegralWitness | None] = {}
+    found1: dict[int, IntegralWitness | None] = {}
     for u in elements:
-        w0 = _witness_search(ring0, s0, members0, structure.comp0(u), max_degree)
-        w1 = _witness_search(ring1, s1, members1, structure.comp1(u), max_degree)
-        yield u, w0, w1
+        u0, u1 = structure.comp0(u), structure.comp1(u)
+        if u0 not in found0:
+            found0[u0] = _witness_search(ring0, s0, members0, u0, max_degree)
+        if u1 not in found1:
+            found1[u1] = _witness_search(ring1, s1, members1, u1, max_degree)
+        yield u, found0[u0], found1[u1]
 
 
 def graded_witnesses(

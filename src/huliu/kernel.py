@@ -15,7 +15,10 @@ principal ideals in ideals.py).
 Elements are indices 0..n-1 and the additive zero is pinned to index 0,
 so subsets and witnesses are stable across tools and file round-trips.
 Tables are row-major tuples of tuples; partial tables use SENTINEL (-1)
-for undefined entries.
+for undefined entries.  A table is checked for shape once: a table that
+passed `check_table_shape` (or the document reader's equal check) comes
+back marked as checked (`_Checked`, or `_CheckedPartial` where SENTINEL is
+allowed), and a marked table is returned at once by the next check.
 """
 
 from __future__ import annotations
@@ -70,9 +73,29 @@ def _row_check(
     return fits, first_bad
 
 
+class _Checked(tuple):
+    """A table known to be n-by-n, its rows tuples of ints in range(n), n at
+    most MAX_TABLE_ORDER: one that passed `check_table_shape` or the
+    document reader, or that is derived from checked tables entry by entry
+    (`hlring.from_lcrng`)."""
+
+    __slots__ = ()
+
+
+class _CheckedPartial(tuple):
+    """A checked table whose entries may also be SENTINEL."""
+
+    __slots__ = ()
+
+
 def check_table_shape(rows: Sequence[Sequence[int]], *, allow_sentinel: bool = False) -> Table:
     """Shape/range discipline for an n-by-n table; raises InputError.
-    Orders above MAX_TABLE_ORDER are refused before any row is read."""
+    Orders above MAX_TABLE_ORDER are refused before any row is read.
+
+    The table comes back marked as checked, and a marked table is returned
+    at once, unless it may hold SENTINEL and a full table is asked for."""
+    if type(rows) is _Checked or (allow_sentinel and type(rows) is _CheckedPartial):
+        return rows
     n = len(rows)
     if n == 0:
         raise InputError("non-square-table", "table has no rows")
@@ -92,7 +115,8 @@ def check_table_shape(rows: Sequence[Sequence[int]], *, allow_sentinel: bool = F
                 raise InputError("table-entry-out-of-range", f"entry ({i},{j}) is {row[j]!r}")
             exact = False
     # Rows of plain ints are frozen as they are; int subclasses become ints.
-    return tuple(map(tuple, rows)) if exact else freeze_table(rows)
+    mark = _CheckedPartial if allow_sentinel else _Checked
+    return mark(map(tuple, rows) if exact else freeze_table(rows))
 
 
 def _require_whole(kind: str, *structures) -> None:
@@ -201,6 +225,12 @@ class _ByteTable:
         if self.whole:
             return [line.ljust(256, b"\0") for line in lines]
         return [bytes.maketrans(self.over, line) for line in lines]
+
+    @cached_property
+    def sum_generators(self) -> list[int] | None:
+        """`_sum_generators` of a table over the whole group, found once per
+        validator call however many laws and decisions read it."""
+        return _sum_generators(self.table)
 
     @cached_property
     def _column_list(self) -> list[bytes]:
@@ -496,7 +526,7 @@ def _group_violations(add: _ByteTable) -> list[Violation]:
     with its rows over the whole group."""
     t, rows, ident = add.table, add.rows, add.over
     rng = range(len(t))
-    gens = _sum_generators(t)
+    gens = add.sum_generators
 
     def zero_law() -> tuple:
         if rows[0] == ident and add.columns[0] == ident:

@@ -34,7 +34,6 @@ from .kernel import (
     _require_whole,
     _right_columns,
     _right_distributive,
-    _sum_generators,
     check_table_shape,
     generating_sequence,
 )
@@ -64,7 +63,8 @@ class LcRng:
     tuple that defaults to the whole group, and `halo`, `r0` and `r1` lie in
     it.  Entries of the tables off the carrier are never read.  A structure
     on a proper carrier is a strict subrng of one on the whole group
-    (`restrict`)."""
+    (`restrict`).  Validation keeps `mul` and `local_mul` as it checked
+    them, marked (`kernel.check_table_shape`), so they are not checked again."""
 
     group: FiniteAbelianGroup
     mul: Table
@@ -250,7 +250,7 @@ def _checked(raw: RawLcRng) -> tuple[list[Violation], LcRng | None]:
     off_undefined = (SENTINEL,) * (n - len(hs))
     cube, halo_pairs, halo_cube = (rng, rng, rng), (hs, hs), (hs, hs, hs)
     local = ("local-mul-missing",)
-    gens = _sum_generators(add)
+    gens = A.sum_generators
     distributes = _distributes("mul", rng, gens)
     trilinear = _multi_additive(("mul",), (gens, gens, rng))
     local_distributes, local_trilinear, triassociates = _halo_decisions(raw.group, halo, gens)
@@ -418,9 +418,9 @@ def _checked(raw: RawLcRng) -> tuple[list[Violation], LcRng | None]:
         return out, None
     return out, LcRng(
         group=raw.group,
-        mul=raw.mul,
+        mul=mul,
         left_identity=e,
-        local_mul=raw.local_mul,
+        local_mul=loc,
         halo=halo,
         local_identity=local_identity,
         r0=r0,

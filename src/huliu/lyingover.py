@@ -41,8 +41,12 @@ class SubrngPair:
     carrier (`LcRng.restrict`), so both live in U's indices."""
 
     ambient: LcRng
-    sub: Subset
     restricted: LcRng
+
+    @property
+    def sub(self) -> Subset:
+        """R's carrier as a set."""
+        return self.restricted.members
 
     @cached_property
     def ambient_ideals(self) -> tuple[GradedIdeal, ...]:
@@ -112,7 +116,7 @@ def embed_check(structure: LcRng, subset: Subset) -> SubrngPair:
                 dump=f"sub = {format_subset(subset)}\nambient mul = {structure.mul}\n"
                 f"ambient local_mul = {structure.local_mul}",
             )
-    return SubrngPair(ambient=structure, sub=subset, restricted=structure.restrict(subset))
+    return SubrngPair(structure, structure.restrict(subset))
 
 
 def sub_primes(pair: SubrngPair) -> list[Subset]:

@@ -10,15 +10,19 @@ classification-based census) are checked against dumb exhaustive code.
 from __future__ import annotations
 
 import itertools
+import json
 from contextlib import contextmanager
 from dataclasses import replace
 
 from huliu import (
     SENTINEL,
     FiniteAbelianGroup,
+    FiniteCommRing,
     GradedIdeal,
+    HlRing,
     InputError,
     LcRng,
+    RawHlRing,
     RawLcRng,
     TheoremAlarm,
     Violation,
@@ -731,3 +735,62 @@ def full_scans():
         yield
     finally:
         kernel._decider = decider
+
+
+def rowwise_emit(structure) -> str:
+    """A structure document as `emit_structure` once rendered every one:
+    each table row turned into a list, SENTINEL into None, and that list
+    through json.dumps; every other value through json.dumps too."""
+
+    def table(t):
+        return [[None if x == SENTINEL else x for x in row] for row in t]
+
+    if isinstance(structure, LcRng):
+        structure = structure.raw()
+    if isinstance(structure, RawLcRng):
+        doc = {
+            "kind": "lcrng",
+            "order": structure.group.order,
+            "add": table(structure.group.add),
+            "mul": table(structure.mul),
+            "local_mul": table(structure.local_mul),
+            "left_identity": structure.left_identity,
+        }
+    elif isinstance(structure, (RawHlRing, HlRing)):
+        doc = {
+            "kind": "hlring",
+            "order": structure.group.order,
+            "add": table(structure.group.add),
+            "bullet": table(structure.bullet),
+            "rarrow": table(structure.rarrow),
+            "larrow": table(structure.larrow),
+            "identity": structure.sigma,
+        }
+    else:
+        assert isinstance(structure, FiniteCommRing)
+        doc = {
+            "kind": "ring",
+            "order": structure.group.order,
+            "add": table(structure.group.add),
+            "mul": table(structure.mul),
+            "one": structure.one,
+        }
+    if structure.name:
+        doc["name"] = structure.name
+    if structure.metadata:
+        doc["metadata"] = dict(structure.metadata)
+    lines = ["{"]
+    keys = sorted(doc)
+    for ki, key in enumerate(keys):
+        value = doc[key]
+        comma = "," if ki < len(keys) - 1 else ""
+        if isinstance(value, list):
+            lines.append(f' "{key}": [')
+            for ri, row in enumerate(value):
+                tail = "," if ri < len(value) - 1 else ""
+                lines.append("  " + json.dumps(row) + tail)
+            lines.append(f" ]{comma}")
+        else:
+            lines.append(f' "{key}": ' + json.dumps(value, sort_keys=True) + comma)
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,11 +9,17 @@ from pathlib import Path
 import pytest
 
 from huliu import (
+    FiniteAbelianGroup,
+    FiniteCommRing,
     InputError,
+    LcRng,
+    RawHlRing,
+    RawLcRng,
     component_ring,
     emit_structure,
     from_lcrng,
     parse_structure,
+    ring_product,
     validate_hlring,
     validate_lcrng,
     zmod,
@@ -21,7 +28,7 @@ import huliu.cli
 import huliu.files
 from huliu.cli import COMMANDS, build_parser, run
 
-from oracles import mutate
+from oracles import GROUPS_TO_16, mutate, rowwise_emit
 
 
 def test_round_trip_catalog(cat):
@@ -30,6 +37,47 @@ def test_round_trip_catalog(cat):
         again = parse_structure(text)
         assert again == s.raw(), name
         assert emit_structure(again) == text
+
+
+def test_emit_matches_the_rowwise_renderer(cat, census_of):
+    """Rows of checked tables are joined from precomputed strings, any other
+    table's go through json.dumps: the text is the same either way, on
+    validated and parsed structures, bridges, rings, census classes (their
+    local products hold nulls) and hand-built raw tables."""
+    structures = []
+    for s in cat.values():
+        structures += [s, s.raw(), from_lcrng(s)]
+    structures += [zmod(1), zmod(6), ring_product(zmod(2), zmod(4))]
+    for orders in GROUPS_TO_16:
+        if math.prod(orders) <= 8:
+            structures += [t for s in census_of(orders) for t in (s, from_lcrng(s))]
+    texts = [emit_structure(s) for s in structures]
+    for s, text in zip(structures, texts):
+        assert text == rowwise_emit(s), s.name
+        assert emit_structure(parse_structure(text)) == text, s.name
+    # Every lcrng document has null entries: # is undefined off the halo.
+    assert ["null" in t for t in texts] == [isinstance(s, (LcRng, RawLcRng)) for s in structures]
+    z2 = FiniteAbelianGroup(order=2, add=((0, 1), (1, 0)))
+    for raw in (
+        RawLcRng(z2, ((0, True), (1, 7)), 0, ((-1, -1.0), (False, 0)), name="bent"),
+        RawHlRing(z2, ((0, 1), (1, 0)), ((0, 9), (0, 1)), ((True, 0), (0, -1)), 1),
+        FiniteCommRing(FiniteAbelianGroup(order=2, add=[[0, 1], [1, 0]]), [[0, 0], [0, 1]], 1),
+    ):
+        assert emit_structure(raw) == rowwise_emit(raw)
+
+
+def test_rows_of_parsed_tables_are_emitted_without_json_dumps(cat, monkeypatch):
+    """A parsed table is checked, so its rows are joined from strings: only
+    the scalar values of a document go through json.dumps."""
+    parsed = [parse_structure(emit_structure(s)) for s in cat.values()]
+    parsed.append(parse_structure(emit_structure(from_lcrng(cat["r8"]))))
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    for raw in parsed:
+        emit_structure(raw)
+    assert all(not isinstance(value, list) for value, *_ in calls)
+    assert 0 < len(calls) <= 4 * len(parsed)  # kind, order, identity, name
 
 
 def test_round_trip_hlring_and_ring(r4):

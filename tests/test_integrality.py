@@ -212,3 +212,29 @@ def test_integral_checks_each_component_ring_and_subring_once(tmp_path, monkeypa
     # The coefficient subrings are the subrng's parts, proved by
     # subrng_violation, so no subring check runs.
     assert calls == {"_verify_component_ring": 2}
+
+
+def test_each_component_value_is_searched_once(monkeypatch):
+    """w0 depends only on u·e and w1 only on u - u·e: on the whole carrier of
+    null(Z8,Z8) that is |R0| + |R1| = 16 searches, not 2·64, with the
+    witnesses of the per-element loop."""
+    b = zmod(8)
+    s = validate_lcrng(semidirect_null(b, b, identity_hom(b)))
+    whole = frozenset(s.elements())
+    old = per_element_witnesses(s, whole)
+    searched = []
+    real = huliu.integrality._witness_search
+
+    def counted(ring, subset, members, u, max_degree):
+        searched.append((ring.name, u))
+        return real(ring, subset, members, u, max_degree)
+
+    monkeypatch.setattr(huliu.integrality, "_witness_search", counted)
+    assert list(_graded_search(s, whole, s.elements())) == old
+    assert len(s.r0) + len(s.r1) == len(searched) == len(set(searched)) == 16
+    # The first search for each value runs at the first element that has it.
+    firsts = {}
+    for u in s.elements():
+        firsts.setdefault(("component-0", s.comp0(u)), None)
+        firsts.setdefault(("component-1", s.comp1(u)), None)
+    assert searched == list(firsts)

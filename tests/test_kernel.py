@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from functools import cache
 
 import pytest
@@ -6,14 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from huliu import (
+    FiniteAbelianGroup,
     InputError,
     ValidationFailure,
+    comm_ring_violations,
+    diassociativity_report,
     direct_sum_group,
+    emit_structure,
     enumerate_subgroups,
+    from_lcrng,
+    hlring_violations,
+    lcrng_violations,
+    parse_structure,
     subgroup_closure,
     validate_group,
+    validate_hlring,
+    validate_lcrng,
     zmod,
 )
+from huliu import kernel
 from huliu.kernel import (
     check_table_shape,
     element_orders,
@@ -117,6 +129,73 @@ def test_int_subclass_entries_are_frozen_as_ints():
     table = check_table_shape([[Index(0), Index(1)], [1, 0]])
     assert table == ((0, 1), (1, 0))
     assert {type(x) for row in table for x in row} == {int}
+
+
+@pytest.fixture
+def row_checks(monkeypatch):
+    """Calls of the row predicate of every table check the kernel makes."""
+    calls = []
+    make = kernel._row_check
+
+    def counted(n, extra=()):
+        fits, first_bad = make(n, extra)
+        return (lambda row: calls.append(n) or fits(row)), first_bad
+
+    monkeypatch.setattr(kernel, "_row_check", counted)
+    return calls
+
+
+def test_parsed_tables_are_not_checked_again(cat, row_checks):
+    """The reader checks each table once; every validator, the bridge and
+    the dialgebra report then take the marked tables as they are."""
+    raw = parse_structure(emit_structure(cat["r8"]))
+    hl = parse_structure(emit_structure(from_lcrng(cat["r8"])))
+    ring = parse_structure(emit_structure(zmod(6)))
+    row_checks.clear()  # the bridge of the hand-built r8 checked its +
+    assert lcrng_violations(raw) == hlring_violations(hl) == comm_ring_violations(ring) == []
+    bridged = from_lcrng(validate_lcrng(raw))
+    diassociativity_report(bridged)
+    diassociativity_report(validate_hlring(hl))
+    assert row_checks == []
+    # Unmarked tables are checked, row by row, on each validation.
+    unmarked = replace(
+        raw,
+        group=FiniteAbelianGroup(8, tuple(raw.group.add)),
+        mul=tuple(raw.mul),
+        local_mul=tuple(raw.local_mul),
+    )
+    for _ in range(2):
+        lcrng_violations(unmarked)
+    assert row_checks == [8] * 3 * 8 * 2
+
+
+def test_a_hand_built_bad_entry_is_still_refused(cat):
+    raw = parse_structure(emit_structure(cat["r8"]))
+    mul = [list(row) for row in raw.mul]
+    mul[5][2] = 8
+    with pytest.raises(InputError) as err:
+        lcrng_violations(replace(raw, mul=mul))
+    assert (err.value.code, err.value.message) == ("table-entry-out-of-range", "entry (5,2) is 8")
+
+
+def test_a_checked_table_with_sentinels_is_refused_as_a_full_table(cat):
+    raw = parse_structure(emit_structure(cat["r8"]))
+    partial = raw.local_mul
+    assert check_table_shape(partial, allow_sentinel=True) is partial
+    cases = (
+        lambda: lcrng_violations(replace(raw, mul=partial)),
+        lambda: lcrng_violations(replace(raw, group=FiniteAbelianGroup(8, partial))),
+        lambda: hlring_violations(replace(from_lcrng(cat["r8"]).raw(), larrow=partial)),
+        lambda: group_violations(partial),
+    )
+    for case in cases:
+        with pytest.raises(InputError) as err:
+            case()
+        assert err.value.code == "table-entry-out-of-range"
+    # Without a SENTINEL it passes as a full table, and is marked as one.
+    without = check_table_shape(tuple(raw.mul), allow_sentinel=True)
+    full = check_table_shape(without)
+    assert full is not without and check_table_shape(full) is full == raw.mul
 
 
 def test_subgroup_closure_examples():
