@@ -44,18 +44,13 @@ from .kernel import (
     Subset,
     Table,
     HOLDS,
-    _associative,
     _ByteTable,
     _byte_tables,
     _commutative,
     _cyclic,
-    _distributes,
     _group_violations,
     _law_violations,
-    _left_distributive,
-    _multi_additive,
-    _right_columns,
-    _right_distributive,
+    _product_laws,
     _require_whole,
     _sum,
     check_table_shape,
@@ -149,6 +144,13 @@ RING_CHECKS = (
 )
 
 
+RING_LAWS = (
+    ("ring-left-distributive", "x(y+z) != xy+xz"),
+    ("ring-right-distributive", "(x+y)z != xz+yz"),
+    ("ring-not-associative", "(xy)z != x(yz)"),
+)
+
+
 def _ring_violations(ring: FiniteCommRing, sums: _ByteTable | None = None) -> Iterator[Violation]:
     """The ring laws over the carrier, lazily, one violation per failed law.
 
@@ -162,17 +164,13 @@ def _ring_violations(ring: FiniteCommRing, sums: _ByteTable | None = None) -> It
     carrier, members, one = ring.carrier, ring.members, ring.one
     add, mul = ring.group.add, ring.mul
     M, A = _byte_tables(carrier, mul, add) if sums is None else (*_byte_tables(carrier, mul), sums)
-    pairs, cube = (carrier, carrier), (carrier, carrier, carrier)
+    pairs = (carrier, carrier)
     everywhere = [True] * len(carrier)
     closed = ("ring-not-closed",)
     try:
         gens = ring.gens
     except InputError:  # not a subgroup, so the closure law fails first
-        distributes = distributes_right = trilinear = None
-    else:
-        distributes = _distributes("mul", carrier, gens)
-        distributes_right = _distributes("mul", carrier, gens, row=_right_columns(M, A))
-        trilinear = _multi_additive(("mul",), (gens, gens, carrier))
+        gens = None
 
     def closure(x: int) -> tuple:
         sums, products = map(add[x].__getitem__, carrier), map(mul[x].__getitem__, carrier)
@@ -182,23 +180,7 @@ def _ring_violations(ring: FiniteCommRing, sums: _ByteTable | None = None) -> It
 
     laws = (
         Law("ring-not-closed", "carrier not closed at ({},{})", pairs, closure),
-        Law(
-            "ring-left-distributive",
-            "x(y+z) != xy+xz",
-            cube,
-            _left_distributive(M, A),
-            closed,
-            distributes,
-        ),
-        Law(
-            "ring-right-distributive",
-            "(x+y)z != xz+yz",
-            cube,
-            _right_distributive(M, A),
-            closed,
-            distributes_right,
-        ),
-        Law("ring-not-associative", "(xy)z != x(yz)", cube, _associative(M), closed, trilinear),
+        *_product_laws(M, A, carrier, gens, RING_LAWS, closed),
         Law("ring-not-commutative", "xy != yx", pairs, _commutative(M), closed),
         Law(
             "ring-identity-fails",
@@ -338,7 +320,8 @@ def semidirect_null(
 ) -> RawLcRng:
     """The null left action structure A ⋉ B, assembled on the group of
     ring_product(A, B) with A and B on its two factor subgroups (index
-    a + |A|·b); re-verified on every build."""
+    a + |A|·b); re-verified on every build, so its products come back
+    marked as checked (`kernel.check_table_shape`)."""
     if b.order == 1:
         raise InputError("zero-b", "component B must be a nonzero ring")
     if phi.source != a or phi.target != b:
@@ -351,7 +334,12 @@ def semidirect_null(
         replace(product, one=na * b.one, carrier=tuple(range(0, product.order, na))),
         [na * v for v in phi.mapping],
     )
-    raw = replace(raw, name=name or (f"null({a.name},{b.name})" if a.name and b.name else ""))
+    raw = replace(
+        raw,
+        mul=check_table_shape(raw.mul),
+        local_mul=check_table_shape(raw.local_mul, allow_sentinel=True),
+        name=name or (f"null({a.name},{b.name})" if a.name and b.name else ""),
+    )
     violations = lcrng_violations(raw)
     if violations:
         raise TheoremAlarm(

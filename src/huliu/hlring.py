@@ -5,16 +5,19 @@ auxiliary products ⇀ (rarrow) and ↼ (larrow) decompose it as
 x•y = x⇀y + x↼y - (x↼σ)⇀y and satisfy the strong triassociative laws
 (x⇀y)•z = x•(y↼z), x⇀(y•z) = (x⇀y)⇀z, (x•y)↼z = (x↼y)↼z together with
 distributivity.  Associativity of each arrow is a consequence, so the
-validator checks it and classifies a failure as an inconsistent input.
-The ring is Hu-Liu commutative when x⇀y - y↼x always lands in the halo
-{x : σ⇀x = 0}.
+validator checks it last and classifies a failure as an inconsistent
+input.  The ring laws of •, ⇀ and ↼ come from `kernel._product_laws`, and
+the laws that compose them are decided on generators after the
+distributive laws of the tables they compose.  The ring is Hu-Liu
+commutative when x⇀y - y↼x always lands in the halo {x : σ⇀x = 0}, one
+law of the engine over byte rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import getitem, itemgetter
+from operator import itemgetter
 from typing import Callable
 
 from .errors import InputError, TheoremAlarm, ValidationFailure, Violation
@@ -25,21 +28,15 @@ from .kernel import (
     Row,
     Subset,
     Table,
-    _associative,
     _bracketed,
     _byte_tables,
-    _ByteTable,
     _Checked,
-    _distributes,
-    _first_witness,
     _group_violations,
     _law_holds,
     _law_violations,
-    _left_distributive,
     _multi_additive,
+    _product_laws,
     _require_whole,
-    _right_columns,
-    _right_distributive,
     check_table_shape,
 )
 from .lcrng import LcRng, Metadata, induced_table
@@ -110,6 +107,25 @@ HLRING_CHECKS = (
 )
 
 
+BULLET_LAWS = (
+    ("bullet-left-distributive", "x•(y+z) != x•y + x•z"),
+    ("bullet-right-distributive", "(x+y)•z != x•z + y•z"),
+    ("bullet-not-associative", "(x•y)•z != x•(y•z)"),
+)
+# Associativity of each arrow follows from the other laws, so it is checked
+# last, and its failure marks an inconsistent input.
+RARROW_LAWS = (
+    ("rarrow-left-distributive", "x⇀(y+z) != x⇀y + x⇀z"),
+    ("rarrow-right-distributive", "(x+y)⇀z != x⇀z + y⇀z"),
+    ("rarrow-not-associative", "⇀ is not associative (inconsistent input: this must follow)"),
+)
+LARROW_LAWS = (
+    ("larrow-left-distributive", "x↼(y+z) != x↼y + x↼z"),
+    ("larrow-right-distributive", "(x+y)↼z != x↼z + y↼z"),
+    ("larrow-not-associative", "↼ is not associative (inconsistent input: this must follow)"),
+)
+
+
 def hlring_violations(raw: RawHlRing) -> list[Violation]:
     """Every failed axiom, first witness each, in a fixed check order."""
     n = raw.group.order
@@ -143,60 +159,44 @@ def hlring_violations(raw: RawHlRing) -> list[Violation]:
         the same positions differ as in x•y against x⇀y + x↼y - (x↼σ)⇀y."""
         return A.pairs(B.row(x), R.row(la[x][s])), A.pairs(R.row(x), L.row(x))
 
-    def distributive(code: str, message: str, name: str, row: Row, right: Row | None) -> Law:
-        return Law(code, message, cube, row, decision=_distributes(name, rng, gens, row=right))
+    bullet_laws = _product_laws(B, A, rng, gens, BULLET_LAWS)
+    rarrow_laws = _product_laws(R, A, rng, gens, RARROW_LAWS)
+    larrow_laws = _product_laws(L, A, rng, gens, LARROW_LAWS)
 
-    def left(code: str, message: str, name: str, op: _ByteTable) -> Law:
-        return distributive(code, message, name, _left_distributive(op, A), None)
+    def distributive(*triples: tuple[Law, Law, Law]) -> tuple[str, ...]:
+        return tuple(law.code for laws in triples for law in laws[:2])
 
-    def right(code: str, message: str, name: str, op: _ByteTable) -> Law:
-        return distributive(code, message, name, _right_distributive(op, A), _right_columns(op, A))
+    def trilinear(code: str, message: str, after: tuple[str, ...], row: Row) -> Law:
+        return Law(code, message, cube, row, decision=_multi_additive((gens, gens, rng), after))
 
-    def trilinear(code: str, message: str, names: tuple[str, ...], row: Row) -> Law:
-        decision = _multi_additive(names, (gens, gens, rng))
-        return Law(code, message, cube, row, decision=decision)
-
+    products = distributive(bullet_laws, rarrow_laws, larrow_laws)  # all three distribute
     laws = (
-        left("bullet-left-distributive", "x•(y+z) != x•y + x•z", "•", B),
-        right("bullet-right-distributive", "(x+y)•z != x•z + y•z", "•", B),
-        trilinear("bullet-not-associative", "(x•y)•z != x•(y•z)", ("•",), _associative(B)),
+        *bullet_laws,
         Law("bullet-identity-fails", "σ is not a •-identity", (rng,), sigma_fixes),
         Law(
             "product-decomposition",
             "x•y != x⇀y + x↼y - (x↼σ)⇀y",
             (rng, rng),
             decomposed,
-            decision=_multi_additive(("•", "⇀", "↼"), (gens, rng)),
+            decision=_multi_additive((gens, rng), products),
         ),
+        trilinear("strong-law-bullet-link", "(x⇀y)•z != x•(y↼z)", products, _bracketed(B, R, B, L)),
         trilinear(
-            "strong-law-bullet-link",
-            "(x⇀y)•z != x•(y↼z)",
-            ("•", "⇀", "↼"),
-            _bracketed(B, R, B, L),
+            "strong-law-rarrow",
+            "x⇀(y•z) != (x⇀y)⇀z",
+            distributive(rarrow_laws, bullet_laws),
+            _bracketed(R, R, R, B),
         ),
-        trilinear("strong-law-rarrow", "x⇀(y•z) != (x⇀y)⇀z", ("⇀", "•"), _bracketed(R, R, R, B)),
         trilinear(
             "strong-law-larrow",
             "(x•y)↼z != (x↼y)↼z",
-            ("↼", "•"),
+            distributive(larrow_laws, bullet_laws),
             lambda x, y: (la[bullet[x][y]], la[la[x][y]]),
         ),
-        left("rarrow-left-distributive", "x⇀(y+z) != x⇀y + x⇀z", "⇀", R),
-        right("rarrow-right-distributive", "(x+y)⇀z != x⇀z + y⇀z", "⇀", R),
-        left("larrow-left-distributive", "x↼(y+z) != x↼y + x↼z", "↼", L),
-        right("larrow-right-distributive", "(x+y)↼z != x↼z + y↼z", "↼", L),
-        trilinear(
-            "rarrow-not-associative",
-            "⇀ is not associative (inconsistent input: this must follow)",
-            ("⇀",),
-            _associative(R),
-        ),
-        trilinear(
-            "larrow-not-associative",
-            "↼ is not associative (inconsistent input: this must follow)",
-            ("↼",),
-            _associative(L),
-        ),
+        *rarrow_laws[:2],
+        *larrow_laws[:2],
+        rarrow_laws[2],
+        larrow_laws[2],
     )
     return list(_law_violations(laws))
 
@@ -224,21 +224,23 @@ def hl_halo(ring: HlRing) -> Subset:
 
 
 def hl_commutativity_violation(ring: HlRing) -> Violation | None:
-    add, neg, halo, la = ring.group.add, ring.group.negation, ring.halo, ring.larrow
+    """The first (x, y) in row-major order where x⇀y - y↼x leaves the
+    halo, or None.  The row at x is x⇀y plus the ↼ column at x negated,
+    read through the halo's indicator and compared with a row of ones."""
     rng = ring.elements()
-    inside = [True] * ring.order
-    columns = tuple(zip(*la))
+    (A,) = _byte_tables(rng, check_table_shape(ring.group.add))
+    ra, la = check_table_shape(ring.rarrow), check_table_shape(ring.larrow)
+    columns = list(zip(*la))
+    negated = bytes(ring.group.negation).ljust(256, b"\0")
+    inside = bytes(map(ring.halo.__contains__, rng)).ljust(256, b"\0")
+    ones = b"\1" * ring.order
 
     def row(x: int) -> tuple:
-        minus_yx = map(neg.__getitem__, columns[x])
-        if halo.issuperset(map(getitem, map(add.__getitem__, ring.rarrow[x]), minus_yx)):
-            return HOLDS
-        return [add[v][neg[r[x]]] in halo for v, r in zip(ring.rarrow[x], la)], inside
+        minus_yx = bytes(columns[x]).translate(negated)
+        return A.pairs(bytes(ra[x]), minus_yx).translate(inside), ones
 
-    witness = _first_witness(row, (rng, rng))
-    if witness is None:
-        return None
-    return Violation("not-hl-commutative", witness, "x⇀y - y↼x is outside the halo")
+    law = Law("not-hl-commutative", "x⇀y - y↼x is outside the halo", (rng, rng), row)
+    return next(_law_violations((law,)), None)
 
 
 def is_hl_commutative(ring: HlRing) -> bool:
@@ -307,20 +309,16 @@ def diassociativity_report(ring: HlRing) -> dict[str, bool]:
         gens = None if _group_violations(A) else A.sum_generators
     except InputError:
         gens = None
-    gates: tuple[Law, ...] = ()
+    laws: list[Law] = []
     decision = None
-    if gens is not None:
-        gates = tuple(
-            Law(name, "", cube, row, decision=_distributes(name, rng, gens, row=right))
-            for name, T in (("<", LT), (">", GT))
-            for row, right in (
-                (_left_distributive(T, A), None),
-                (_right_distributive(T, A), _right_columns(T, A)),
-            )
-        )
-        decision = _multi_additive(("<", ">"), (gens, gens, rng))
-    laws = [
+    if gens is not None:  # the identities rest on both arrows distributing
+        for name, T in (("<", LT), (">", GT)):
+            kinds = ("left-distributive", "right-distributive", "associative")
+            laws += _product_laws(T, A, rng, gens, tuple((f"{name} {k}", "") for k in kinds))[:2]
+        decision = _multi_additive((gens, gens, rng), tuple(law.code for law in laws))
+    laws += [
         Law(name, "", cube, partial(row, LT, GT), decision=decision)
         for name, row in DIALGEBRA_IDENTITIES
     ]
-    return dict(zip((name for name, _ in DIALGEBRA_IDENTITIES), _law_holds(laws, gates)))
+    names = [name for name, _ in DIALGEBRA_IDENTITIES]
+    return dict(zip(names, _law_holds(laws, names)))

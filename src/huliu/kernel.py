@@ -1,11 +1,15 @@
 """Finite abelian groups, operation tables, subset utilities, and the law
 engine that every validator runs: a law is decided on additive generators
 where it can be, and scanned in full only to place its first witness.
+A decision rests on law codes only: it is exact once the laws its `after`
+names hold, and the engine settles each law of a call on demand and at
+most once.  The ring laws of a product over + (both distributive laws and
+associativity) are stated here once, by `_product_laws`, for every table.
 The engine compares whole rows: each validator call turns each table into
 bytes rows once (`_ByteTable`), so a gather t[x][s_i] along a row s is one
 `bytes.translate`, and a row that holds costs a constant number of C-level
-calls.  Only this module knows that representation; tables above order 256
-are refused, since entries must fit a byte.
+calls.  Only this module builds that representation; tables above order
+256 are refused, since entries must fit a byte.
 Subgroups are sums of cyclic subgroups:
 H + <x> = {h + k·x} is already a subgroup, so one multiples walk serves
 closure, the subgroup lattice, generator sequences and element orders, and
@@ -263,19 +267,15 @@ def _byte_tables(carrier: Sequence[int], *tables: Table) -> list[_ByteTable]:
 class Decision(NamedTuple):
     """A law decided on a few tuples, `domains`, instead of its own.
 
-    The decision compares `row`, or the law's own row when it has none.  A
-    decision that `proves` a table is one of that table's distributive laws
-    over +; one that `needs` tables is sound only once every decision
-    proving one of them has held.  `premises` are codes of laws that must
-    have been checked and held before the decision is used; otherwise the
-    law is scanned in full.  See `_distributes`, `_multi_additive` and
-    `_light` for the three kinds and why each is exact.
+    The decision compares `row`, or the law's own row when it has none.  It
+    is exact once every law coded in `after`, a law of the same call, holds;
+    the engine settles those on demand, and while one does not hold the law
+    is scanned in full.  See `_distributes`, `_multi_additive` and Light's
+    test (`_group_violations`) for the three kinds and why each is exact.
     """
 
     domains: tuple[Sequence[int], ...]
-    proves: str = ""
-    needs: tuple[str, ...] = ()
-    premises: tuple[str, ...] = ()
+    after: tuple[str, ...] = ()
     row: Row | None = None
 
 
@@ -286,9 +286,9 @@ class Law(NamedTuple):
     the law as two sequences of one type over the last domain, or HOLDS
     when a one-step test shows the row holds; a nullary law (no domains)
     returns two plain values.  `message` is formatted with the witness.
-    The law is skipped once a law coded in `requires` failed.  A law with a
-    `decision` is scanned in full only when the decision does not show
-    that it holds, to place its witness.
+    The law is skipped once an earlier law coded in `requires` failed.  A
+    law with a `decision` is scanned in full only when the decision does
+    not show that it holds, to place its witness.
     """
 
     code: str
@@ -300,17 +300,12 @@ class Law(NamedTuple):
 
 
 # The three kinds of decision.  Each needs + to be an abelian group on the
-# carrier (`_light` decides that associativity) and `gens` to generate it.
+# carrier (Light's test decides that associativity) and `gens` to generate it.
 # With the last coordinate on the whole carrier, rows stay whole rows.
 
 
 def _distributes(
-    table: str,
-    carrier: Sequence[int],
-    gens: Sequence[int],
-    *,
-    row: Row | None = None,
-    premises: tuple[str, ...] = (),
+    carrier: Sequence[int], gens: Sequence[int], after: tuple[str, ...] = ()
 ) -> Decision:
     """x(y+z) = xy + xz, or (x+y)z = xz + yz, with y only on the generators.
 
@@ -318,37 +313,23 @@ def _distributes(
     x((y+y')+z) = x(y+(y'+z)) = xy + xy' + xz and x(y+y') = xy + xy', and
     the same for the right law; so they are the whole carrier, once it is
     a subgroup that `gens` generates.  With no generators the carrier is
-    {0}, and the law at (0, 0, 0) must follow from the premises (closure:
-    0·0 = 0).  The right law is decided on columns: `row=_right_columns(...)`.
+    {0}, and the law at (0, 0, 0) must follow from the laws `after`
+    (closure: 0·0 = 0).  `_product_laws` decides the right law on columns.
     """
-    return Decision((carrier, gens, carrier), proves=table, premises=premises, row=row)
+    return Decision((carrier, gens, carrier), after)
 
 
-def _multi_additive(
-    tables: tuple[str, ...],
-    domains: tuple[Sequence[int], ...],
-    premises: tuple[str, ...] = (),
-) -> Decision:
-    """A law whose two sides are additive in each variable once the named
-    tables distribute on both sides, decided with every variable but the
-    last only on generators of its domain.
+def _multi_additive(domains: tuple[Sequence[int], ...], after: tuple[str, ...]) -> Decision:
+    """A law whose two sides are additive in each variable once the tables
+    they compose distribute on both sides, decided with every variable but
+    the last only on generators of its domain.  `after` names those
+    distributive laws, and any other law the argument rests on.
 
     The difference of the sides is additive in each coordinate, so from
     generators it vanishes on each whole domain in turn, and then
     everywhere.
     """
-    return Decision(domains, needs=tables, premises=premises)
-
-
-def _light(carrier: Sequence[int], gens: Sequence[int]) -> Decision:
-    """Light's associativity test: (xg)z = x(gz) for every generator g.
-
-    The g for which it holds for all x and z contain 0 (a two-sided zero) and
-    are closed under the product: (x(gh))z = ((xg)h)z = (xg)(hz) =
-    x(g(hz)) = x((gh)z).  `gens` must reach every element as a sum
-    (...((0+g1)+g2)...)+gk, which `_sum_generators` walks for.
-    """
-    return Decision((carrier, gens, carrier))
+    return Decision(domains, after)
 
 
 def _sum_generators(add: Table) -> list[int] | None:
@@ -391,59 +372,102 @@ def _first_witness(row: Row, domains: tuple[Sequence[int], ...]) -> tuple[int, .
     return None
 
 
-def _decider(laws: Sequence[Law], held: set[str]) -> Callable[[Law], bool | None]:
+def _decider(laws: Sequence[Law], holds: Callable[[str], bool]) -> Callable[[Law], bool | None]:
     """verdict(law): whether a law of `laws` holds by its decision, or None
-    when it has none, a premise is not among the codes `held` so far, or a
-    decision it needs has not held.  Each decision runs at most once per
-    validator call."""
-    provers: dict[str, list[Law]] = {}
-    for law in laws:
-        if law.decision is not None and law.decision.proves:
-            provers.setdefault(law.decision.proves, []).append(law)
-    memo: dict[int, bool | None] = {}
+    when it has none or `holds(code)` is false for a code in its `after`.
+    `_run` asks once per law."""
 
     def verdict(law: Law) -> bool | None:
         decision = law.decision
-        if decision is None:
+        if decision is None or not all(map(holds, decision.after)):
             return None
-        if id(law) not in memo:
-            ready = held.issuperset(decision.premises) and all(
-                verdict(p) for table in decision.needs for p in provers[table]
-            )
-            row = decision.row or law.row
-            memo[id(law)] = _first_witness(row, decision.domains) is None if ready else None
-        return memo[id(law)]
+        return _first_witness(decision.row or law.row, decision.domains) is None
 
     return verdict
 
 
-def _law_violations(laws: Iterable[Law]) -> Iterator[Violation]:
-    """One violation per failed law, in table order, each law decided or
-    scanned on demand."""
-    laws = tuple(laws)
-    held: set[str] = set()
-    verdict = _decider(laws, held)
-    failed: set[str] = set()
-    for law in laws:
-        if failed.isdisjoint(law.requires):
-            witness = None if verdict(law) else _first_witness(law.row, law.domains)
-            if witness is None:
-                held.add(law.code)
+_UNSETTLED: object = object()
+
+
+def _run(laws: tuple[Law, ...]) -> tuple[Callable, dict, Callable, Callable]:
+    """(state, witnesses, holds, release) for one call's laws, each settled
+    on demand and at most once.  state(i): whether law i holds, or None if
+    an earlier law coded in its `requires` failed (with in_order, every
+    law before i is settled).  holds(code): whether every law coded `code`
+    holds, for a decision's `after`; a code naming no law raises.
+    release() breaks the closures' cycle, so the call's tables are freed."""
+    states: list = [_UNSETTLED] * len(laws)
+    witnesses: dict[int, tuple[int, ...]] = {}
+    failed: list[int] = []
+    index: dict[str, list[int]] = {}  # each code's positions, built on first use
+
+    def positions(code: str) -> list[int]:
+        if not index:
+            for i, law in enumerate(laws):
+                index.setdefault(law.code, []).append(i)
+        return index.get(code, [])
+
+    def state(i: int, in_order: bool = False) -> bool | None:
+        settled = states[i]
+        if settled is _UNSETTLED:
+            law = laws[i]
+            if law.requires and (failed or not in_order) and skipped(i, law.requires):
+                settled = None
             else:
-                held.discard(law.code)
-                failed.add(law.code)
+                settled = None if law.decision is None else verdict(law)
+                if settled is None:  # no decision to use: a full scan
+                    found = _first_witness(law.row, law.domains)
+                    if found is not None:
+                        witnesses[i] = found
+                    settled = found is None
+                if not settled:
+                    failed.append(i)
+            states[i] = settled
+        return settled
+
+    def skipped(i: int, requires: tuple[str, ...]) -> bool:
+        for code in requires:
+            for j in positions(code):
+                if j < i and state(j) is False:
+                    return True
+        return False
+
+    def holds(code: str) -> bool:
+        coded = positions(code)
+        if not coded:
+            raise ValueError(f"a decision rests on {code!r}, no law of this call")
+        return all(map(state, coded))
+
+    def release() -> None:
+        nonlocal verdict, skipped
+        verdict = skipped = None
+
+    verdict = _decider(laws, holds)
+    return state, witnesses, holds, release
+
+
+def _law_violations(laws: Iterable[Law]) -> Iterator[Violation]:
+    """One violation per failed law, in table order; a law that its
+    decision shows failing gets one full scan, to place its witness."""
+    laws = tuple(laws)
+    state, witnesses, _, release = _run(laws)
+    try:
+        for i, law in enumerate(laws):
+            if state(i, True) is False:
+                witness = witnesses[i] if i in witnesses else _first_witness(law.row, law.domains)
                 yield Violation(law.code, witness, law.message.format(*witness))
+    finally:
+        release()
 
 
-def _law_holds(laws: Sequence[Law], gates: Sequence[Law] = ()) -> list[bool]:
-    """Whether each law holds, by its decision where that settles it and by
-    a full scan otherwise.  `gates` are laws that only prove tables for the
-    decisions of `laws`; their own verdicts are not asked for."""
-    verdict = _decider((*gates, *laws), set())
-    return [
-        _first_witness(law.row, law.domains) is None if (v := verdict(law)) is None else v
-        for law in laws
-    ]
+def _law_holds(laws: Iterable[Law], codes: Iterable[str]) -> list[bool]:
+    """Whether the laws coded as each of `codes` hold, placing no witness
+    for a law that a decision shows failing."""
+    _, _, holds, release = _run(tuple(laws))
+    try:
+        return list(map(holds, codes))
+    finally:
+        release()
 
 
 # The shared rows, over _ByteTables: a gather t[x][s_i] is one translate.
@@ -466,41 +490,53 @@ def _commutative(op: _ByteTable) -> Row:
     return lambda x: (rows[x], op.columns[x])
 
 
-def _left_distributive(op: _ByteTable, add: _ByteTable) -> Row:
-    """x(y+z) against xy + xz, as rows over z: two translates."""
-    op_table, op_rows, op_maps, add_rows, add_maps = op.table, op.rows, op.maps, add.rows, add.maps
-    return lambda x, y: (
-        add_rows[y].translate(op_maps[x]),
-        op_rows[x].translate(add_maps[op_table[x][y]]),
-    )
-
-
-def _right_distributive(op: _ByteTable, add: _ByteTable) -> Row:
-    """(x+y)z against xz + yz, as rows over z, in row-major order.
-
-    xz + yz gathers from a different row of + at each z, so it is not a
-    translate; the rows add[xz] are gathered once per x."""
-    op_rows, add_table, add_maps = op.rows, add.table, add.maps
+def _product_laws(
+    op: _ByteTable,
+    add: _ByteTable,
+    carrier: Sequence[int],
+    gens: Sequence[int] | None,
+    laws: tuple[tuple[str, str], tuple[str, str], tuple[str, str]],
+    requires: tuple[str, ...] = (),
+) -> tuple[Law, Law, Law]:
+    """x(y+z) = xy + xz, (x+y)z = xz + yz and (xy)z = x(yz) for a product
+    over + on the carrier, with the (code, message) pairs of `laws` and
+    `requires`.  With generators of + (`gens`), both distributive laws are
+    decided by `_distributes` and associativity by `_multi_additive` after
+    them; with None, each is scanned in full."""
+    op_table, op_rows, op_maps = op.table, op.rows, op.maps
+    add_table, add_rows, add_maps = add.table, add.rows, add.maps
     gathered: list = [None, ()]
 
-    def row(x: int, y: int) -> tuple:
+    def left(x: int, y: int) -> tuple:
+        """x(y+z) against xy + xz, as rows over z: two translates."""
+        return add_rows[y].translate(op_maps[x]), op_rows[x].translate(add_maps[op_table[x][y]])
+
+    def right(x: int, y: int) -> tuple:
+        """(x+y)z against xz + yz, as rows over z, gathering add[xz] once per x."""
         if gathered[0] != x:
             gathered[:] = x, list(map(add_maps.__getitem__, op_rows[x]))
         return op_rows[add_table[x][y]], bytes(map(getitem, gathered[1], op_rows[y]))
 
-    return row
+    def right_columns(z: int, g: int) -> tuple:
+        """(g+x)z against gz + xz, as rows over x: over (z, g in generators,
+        x), the right law with y on generators once + is commutative, which
+        the group laws prove before any decision runs."""
+        column = op.columns[z]
+        return add_rows[g].translate(op.column_maps[z]), column.translate(add_maps[op_table[g][z]])
 
-
-def _right_columns(op: _ByteTable, add: _ByteTable) -> Row:
-    """(g+x)z against gz + xz, as rows over x for each (z, g): the column
-    map x -> xz is additive.  Over (z, g in generators, x) this is the
-    right distributive law with y on generators once + is commutative,
-    which the group laws prove before any decision runs; the decision
-    for the right law (`_distributes(..., row=_right_columns(op, add))`)."""
-    op_table, add_rows, add_maps = op.table, add.rows, add.maps
-    return lambda z, g: (
-        add_rows[g].translate(op.column_maps[z]),
-        op.columns[z].translate(add_maps[op_table[g][z]]),
+    cube = (carrier, carrier, carrier)
+    (left_code, left_says), (right_code, right_says), (assoc, assoc_says) = laws
+    decisions: tuple = (None, None, None)
+    if gens is not None:
+        decisions = (
+            _distributes(carrier, gens),
+            _distributes(carrier, gens)._replace(row=right_columns),
+            _multi_additive((gens, gens, carrier), (left_code, right_code)),
+        )
+    return (
+        Law(left_code, left_says, cube, left, requires, decisions[0]),
+        Law(right_code, right_says, cube, right, requires, decisions[1]),
+        Law(assoc, assoc_says, cube, _associative(op), requires, decisions[2]),
     )
 
 
@@ -523,7 +559,14 @@ def group_violations(add: Sequence[Sequence[int]]) -> list[Violation]:
 
 def _group_violations(add: _ByteTable) -> list[Violation]:
     """group_violations over a table that already passed check_table_shape,
-    with its rows over the whole group."""
+    with its rows over the whole group.
+
+    Associativity is decided by Light's test (F. W. Light, 1949):
+    (xg)z = x(gz) for every generator g.  The g for which it holds for all
+    x and z contain 0 (a two-sided zero) and are closed under the product:
+    (x(gh))z = ((xg)h)z = (xg)(hz) = x(g(hz)) = x((gh)z).  The generators
+    reach every element as a sum (...((0+g1)+g2)...)+gk (`_sum_generators`).
+    """
     t, rows, ident = add.table, add.rows, add.over
     rng = range(len(t))
     gens = add.sum_generators
@@ -546,7 +589,7 @@ def _group_violations(add: _ByteTable) -> list[Violation]:
             "not associative",
             (rng, rng, rng),
             _associative(add),
-            decision=None if gens is None else _light(rng, gens),
+            decision=None if gens is None else Decision((rng, gens, rng)),
         ),
         Law("missing-additive-inverse", "{} has no inverse", (rng,), inverses),
     )
@@ -664,30 +707,11 @@ def direct_sum_group(orders: Sequence[int]) -> FiniteAbelianGroup:
     """Z_{n1} x ... x Z_{nk} with mixed-radix indexing, first factor fastest."""
     if not orders or any(n < 1 for n in orders):
         raise InputError("bad-group-spec", f"bad cyclic orders {orders!r}")
-    total = 1
-    for n in orders:
-        total *= n
-
-    def decode(x: int) -> tuple[int, ...]:
-        parts = []
-        for n in orders:
-            x, r = divmod(x, n)
-            parts.append(r)
-        return tuple(parts)
-
-    def encode(parts: Sequence[int]) -> int:
-        x = 0
-        for n, p in zip(reversed(orders), reversed(list(parts))):
-            x = x * n + p
-        return x
-
+    # Each index's coordinates, in index order: the last factor runs slowest.
+    coords = [c[::-1] for c in itertools.product(*map(range, reversed(orders)))]
+    index = {c: i for i, c in enumerate(coords)}
     add = [
-        [
-            encode([(a + b) % n for a, b, n in zip(decode(x), decode(y), orders)])
-            for y in range(total)
-        ]
-        for x in range(total)
+        [index[tuple((a + b) % n for a, b, n in zip(x, y, orders))] for y in coords]
+        for x in coords
     ]
     return validate_group(add)
-
-

@@ -5,7 +5,9 @@ x·y·z = y·x·z, together with a designated left identity e (e·x = x), and a
 second product # making the additive halo {x : x·e = 0} a commutative ring
 with local identity, linked to · by (x·a)#b = x·(a#b).  Validation checks
 every axiom exhaustively over the tables and reports each failed axiom with
-its first failing tuple in row-major order.
+its first failing tuple in row-major order.  The ring laws of · come from
+`kernel._product_laws`; left commutativity and the laws of # on the halo
+are decided on generators after the laws they rest on (`Decision.after`).
 """
 
 from __future__ import annotations
@@ -24,16 +26,13 @@ from .kernel import (
     Law,
     Subset,
     Table,
-    _associative,
     _byte_tables,
     _distributes,
     _group_violations,
     _law_violations,
-    _left_distributive,
     _multi_additive,
+    _product_laws,
     _require_whole,
-    _right_columns,
-    _right_distributive,
     check_table_shape,
     generating_sequence,
 )
@@ -170,12 +169,17 @@ LCRNG_CHECKS = (
 )
 
 
+# The ring laws of · over +, as `kernel._product_laws` states them.
+MUL_LAWS = (
+    ("mul-left-distributive", "x(y+z) != xy+xz"),
+    ("mul-right-distributive", "(x+y)z != xz+yz"),
+    ("mul-not-associative", "(xy)z != x(yz)"),
+)
 # What every halo decision rests on: the halo is a subgroup, and # is
 # defined and closed on it.  The two multi-additive ones add that # is
-# commutative, so that its left distributive law makes it distribute on
-# both sides.
+# commutative and left distributive, so that it distributes on both sides.
 HALO_RING = ("halo-not-subgroup", "local-mul-missing", "local-mul-not-closed")
-HALO_RING_COMMUTES = (*HALO_RING, "local-mul-not-commutative")
+HASH_BILINEAR = (*HALO_RING, "local-mul-not-commutative", "local-mul-not-distributive")
 
 
 def _halo_decisions(
@@ -201,9 +205,9 @@ def _halo_decisions(
         return None, None, None
     hs = sorted(halo)
     return (
-        _distributes("#", hs, halo_gens, premises=HALO_RING),
-        _multi_additive(("#",), (halo_gens, halo_gens, hs), premises=HALO_RING_COMMUTES),
-        _multi_additive(("mul", "#"), (gens, halo_gens, hs), premises=HALO_RING_COMMUTES),
+        _distributes(hs, halo_gens, after=HALO_RING),
+        _multi_additive((halo_gens, halo_gens, hs), HASH_BILINEAR),
+        _multi_additive((gens, halo_gens, hs), (*HASH_BILINEAR, MUL_LAWS[0][0], MUL_LAWS[1][0])),
     )
 
 
@@ -251,8 +255,8 @@ def _checked(raw: RawLcRng) -> tuple[list[Violation], LcRng | None]:
     cube, halo_pairs, halo_cube = (rng, rng, rng), (hs, hs), (hs, hs, hs)
     local = ("local-mul-missing",)
     gens = A.sum_generators
-    distributes = _distributes("mul", rng, gens)
-    trilinear = _multi_additive(("mul",), (gens, gens, rng))
+    mul_laws = _product_laws(M, A, rng, gens, MUL_LAWS)
+    trilinear = mul_laws[2].decision  # xyz = yxz is multi-additive as associativity is
     local_distributes, local_trilinear, triassociates = _halo_decisions(raw.group, halo, gens)
 
     def left_commutative(x: int, y: int) -> tuple:
@@ -345,21 +349,7 @@ def _checked(raw: RawLcRng) -> tuple[list[Violation], LcRng | None]:
         return [a1 in halo and add[a0][a1] == a for a, a0, a1 in parts], everywhere
 
     laws = (
-        Law(
-            "mul-left-distributive",
-            "x(y+z) != xy+xz",
-            cube,
-            _left_distributive(M, A),
-            decision=distributes,
-        ),
-        Law(
-            "mul-right-distributive",
-            "(x+y)z != xz+yz",
-            cube,
-            _right_distributive(M, A),
-            decision=_distributes("mul", rng, gens, row=_right_columns(M, A)),
-        ),
-        Law("mul-not-associative", "(xy)z != x(yz)", cube, _associative(M), decision=trilinear),
+        *mul_laws,
         Law("not-left-commutative", "xyz != yxz", cube, left_commutative, decision=trilinear),
         Law(
             "left-identity-fails",

@@ -26,6 +26,7 @@ from huliu import (
 )
 import huliu.cli
 import huliu.files
+import huliu.lcrng
 from huliu.cli import COMMANDS, build_parser, run
 
 from oracles import GROUPS_TO_16, mutate, rowwise_emit
@@ -321,6 +322,21 @@ def test_cli_construct_round_trip(tmp_path, capsys, r8):
     assert "zero-b" in capsys.readouterr().err
     assert run(["construct", "--a", "zmod:2x2", "--b", "zmod:2", "--hom", "p1"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "a, b, hom",
+    [("zmod:8", "zmod:8", "id"), ("zmod:4", "zmod:2", "auto"), ("zmod:2x2", "zmod:2", "p2")],
+)
+def test_construct_validates_its_structure_once(capsys, monkeypatch, a, b, hom):
+    """The structure semidirect_null validated is the one printed, as
+    validate_lcrng prints it."""
+    checked = huliu.lcrng._checked
+    calls = []
+    monkeypatch.setattr(huliu.lcrng, "_checked", lambda raw: calls.append(raw) or checked(raw))
+    assert run(["construct", "--a", a, "--b", b, "--hom", hom]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == emit_structure(checked(calls[0])[1])
 
 
 def test_cli_bridge_and_hl_verify(files, tmp_path, capsys):

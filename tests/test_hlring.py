@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 from huliu import (
@@ -80,6 +81,39 @@ def test_shifted_rarrow_breaks_commutativity(r4):
     shifted = replace(ring, rarrow=tuple(map(tuple, rows)))
     bad = hl_commutativity_violation(shifted)
     assert bad is not None and bad.witness == (1, 2)
+
+
+def _brute_commutativity_witness(ring):
+    """The first (x, y) where x⇀y - y↼x leaves the halo, entry by entry."""
+    add, neg = ring.group.add, ring.group.negation
+    for x in ring.elements():
+        for y in ring.elements():
+            if add[ring.rarrow[x][y]][neg[ring.larrow[y][x]]] not in ring.halo:
+                return (x, y)
+    return None
+
+
+def test_hl_commutativity_matches_brute_force_on_mutated_rings(cat):
+    """Bridges with one arrow entry changed or the halo edited by hand, as
+    no validation would leave them."""
+    rand = random.Random("hl-commutativity")
+    seen = set()
+    for s in cat.values():
+        ring = from_lcrng(s)
+        n = ring.order
+        for _ in range(40):
+            field = rand.choice(["rarrow", "larrow", "halo"])
+            if field == "halo":
+                mutated = replace(ring, halo=ring.halo ^ {rand.randrange(n)})
+            else:
+                rows = [list(r) for r in getattr(ring, field)]
+                rows[rand.randrange(n)][rand.randrange(n)] = rand.randrange(n)
+                mutated = replace(ring, **{field: tuple(map(tuple, rows))})
+            bad = hl_commutativity_violation(mutated)
+            want = _brute_commutativity_witness(mutated)
+            assert (bad and bad.witness) == want
+            seen.add(want is None)
+    assert seen == {True, False}
 
 
 def test_diassociativity_report_on_bridge(r4):

@@ -287,3 +287,154 @@ def test_elementary_abelian_subgroup_counts(p, n):
     for s in subs:
         assert 0 in s
         assert all(g.add[a][b] in s for a in s for b in s)
+
+
+# The law engine: each law settled at most once, decisions in place of scans.
+
+
+def _null_z8_z8():
+    from huliu import identity_hom, semidirect_null
+
+    z8 = zmod(8)
+    return semidirect_null(z8, z8, identity_hom(z8))
+
+
+def _scans(monkeypatch):
+    """Every `_first_witness` call, as (row, domains), the objects kept so
+    that their ids stay unique."""
+    calls = []
+    first_witness = kernel._first_witness
+
+    def recording(row, domains):
+        calls.append((row, domains))
+        return first_witness(row, domains)
+
+    monkeypatch.setattr(kernel, "_first_witness", recording)
+    return calls
+
+
+def _whole_cubes(calls, n):
+    return [d for _, d in calls if len(d) == 3 and all(len(x) == n for x in d)]
+
+
+def test_an_after_code_that_names_no_law_raises():
+    holds = kernel.Law("holds", "", ((0,),), lambda: (0, 0))
+    decided = kernel.Law(
+        "decided", "", ((0,),), lambda: (0, 0), decision=kernel.Decision(((0,),), ("missing",))
+    )
+    with pytest.raises(ValueError, match="missing"):
+        list(kernel._law_violations([holds, decided]))
+    with pytest.raises(ValueError, match="missing"):
+        kernel._law_holds([holds, decided], ["decided"])
+    assert kernel._law_holds([holds, decided._replace(decision=None)], ["decided"]) == [True]
+
+
+def test_a_law_after_another_waits_for_it_wherever_it_stands():
+    """A decision after a later law settles that law first; a skipped or
+    failing prerequisite sends the decided law to its full scan."""
+    n = 4
+    calls = []
+
+    def row(name, holds):
+        def side(*prefix):
+            calls.append(name)
+            return (0,) * n, (0,) * n if holds else (1,) * n
+
+        return side
+
+    def table(prerequisite_holds, skipped):
+        domains = (range(n), range(n))
+        first = kernel.Law("first", "{} {}", domains, row("first", not skipped))
+        decided = kernel.Law(
+            "decided",
+            "{} {}",
+            domains,
+            row("decided", True),
+            decision=kernel.Decision(((0,), (0,)), ("after",), row("decision", True)),
+        )
+        after = kernel.Law("after", "{} {}", domains, row("after", prerequisite_holds), ("first",))
+        return [first, decided, after]
+
+    assert list(kernel._law_violations(table(True, False))) == []
+    assert calls == ["first"] * n + ["after"] * n + ["decision"]
+    calls.clear()
+    assert [v.code for v in kernel._law_violations(table(False, False))] == ["after"]
+    assert calls == ["first"] * n + ["after"] + ["decided"] * n
+    calls.clear()
+    assert [v.code for v in kernel._law_violations(table(True, True))] == ["first"]
+    assert calls == ["first"] + ["decided"] * n
+    calls.clear()
+    assert kernel._law_holds(table(True, True), ["decided"]) == [True]
+    assert calls == ["first"] + ["decided"] * n
+
+
+def test_no_row_is_scanned_twice_in_one_call(monkeypatch):
+    """Each decision runs at most once per call, and each law gets at most
+    one full scan, valid or not."""
+    raw = _null_z8_z8()
+    bumped = [list(r) for r in raw.mul]
+    bumped[63][62] = (bumped[63][62] + 1) % 64
+    bad = replace(raw, mul=tuple(map(tuple, bumped)))
+    ring = from_lcrng(validate_lcrng(raw))
+    bullet = [list(r) for r in ring.bullet]
+    bullet[2][3] = (bullet[2][3] + 1) % 64
+    runs = [
+        (lcrng_violations, raw),
+        (lcrng_violations, bad),
+        (hlring_violations, ring.raw()),
+        (hlring_violations, replace(ring.raw(), bullet=tuple(map(tuple, bullet)))),
+        (diassociativity_report, ring),
+        (comm_ring_violations, zmod(64)),
+    ]
+    for call, arg in runs:
+        calls = _scans(monkeypatch)
+        call(arg)
+        counts = Counter((id(row), id(domains)) for row, domains in calls)
+        assert calls and max(counts.values()) == 1, call.__name__
+
+
+def test_valid_null_z8_z8_and_its_bridge_make_no_whole_cube_scan(monkeypatch):
+    raw = _null_z8_z8()
+    calls = _scans(monkeypatch)
+    structure = validate_lcrng(raw)
+    ring = from_lcrng(structure)
+    assert calls and _whole_cubes(calls, 64) == []
+    calls.clear()
+    validate_hlring(ring.raw())
+    assert calls and _whole_cubes(calls, 64) == []
+
+
+def test_a_failing_identity_gets_no_witness_scan(monkeypatch):
+    """diassociativity_report answers yes or no: an identity that its
+    decision shows failing is not scanned for a witness."""
+    ring = from_lcrng(validate_lcrng(_null_z8_z8()))
+    calls = _scans(monkeypatch)
+    report = diassociativity_report(ring)
+    assert not all(report.values())
+    assert calls and _whole_cubes(calls, 64) == []
+
+
+def test_a_call_leaves_no_reference_cycles():
+    """Each call's laws, rows and tables are freed when it ends, not left
+    for the cycle collector: also a call that stops at its first failure."""
+    import gc
+
+    raw = _null_z8_z8()
+    ring = from_lcrng(validate_lcrng(raw))
+    bumped = [list(r) for r in raw.mul]
+    bumped[1][1] = (bumped[1][1] + 1) % 64
+    calls = [
+        lambda: lcrng_violations(raw),
+        lambda: lcrng_violations(replace(raw, mul=tuple(map(tuple, bumped)))),
+        lambda: hlring_violations(ring.raw()),
+        lambda: diassociativity_report(ring),
+        lambda: next(kernel._law_violations([kernel.Law("a", "", (), lambda: (0, 1))])),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
