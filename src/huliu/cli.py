@@ -332,8 +332,23 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple]] = {
 }
 
 
+# Parsers by subcommand name (None: every subcommand), each built on first
+# use and kept for the process: parsing an argv leaves a parser unchanged,
+# and building one costs several times what parsing with it does.  Help
+# width (COLUMNS) is read when help is printed, not when a parser is built.
+_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `huliu` parser with every subcommand, or with `command` alone."""
+    """The `huliu` parser with every subcommand, or with `command` alone,
+    built once per process."""
+    parser = _PARSERS.get(command)
+    if parser is None:
+        parser = _PARSERS[command] = _new_parser(command)
+    return parser
+
+
+def _new_parser(command: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="huliu",
         description="Workbench for left commutative rngs and rings with the Hu-Liu product.",

@@ -44,11 +44,10 @@ from .kernel import (
     Subset,
     Table,
     HOLDS,
-    _ByteTable,
+    _additive,
     _byte_tables,
     _commutative,
     _cyclic,
-    _group_violations,
     _law_violations,
     _product_laws,
     _require_whole,
@@ -58,14 +57,7 @@ from .kernel import (
     enumerate_subgroups,
     generating_sequence,
 )
-from .lcrng import (
-    LcRng,
-    Metadata,
-    RawLcRng,
-    lcrng_violations,
-    left_identities,
-    validate_lcrng,
-)
+from .lcrng import LcRng, Metadata, RawLcRng, left_identities, validate_lcrng
 
 
 @dataclass(frozen=True)
@@ -151,19 +143,22 @@ RING_LAWS = (
 )
 
 
-def _ring_violations(ring: FiniteCommRing, sums: _ByteTable | None = None) -> Iterator[Violation]:
+def _ring_violations(ring: FiniteCommRing) -> Iterator[Violation]:
     """The ring laws over the carrier, lazily, one violation per failed law.
 
     Closure under + and the product comes first and every other law waits
     for it; on a whole group it always holds.  Then come the laws of
     RING_CHECKS, the identity law split in two: the identity lies in the
     carrier, then it fixes each element.  Distributivity and associativity
-    are decided on the carrier's generators.  `sums` is + in row form over
-    the carrier, when the caller has built it already.
+    are decided on the carrier's generators.  On its whole group the ring
+    reads the group's row form of + (`kernel._additive`).
     """
     carrier, members, one = ring.carrier, ring.members, ring.one
     add, mul = ring.group.add, ring.mul
-    M, A = _byte_tables(carrier, mul, add) if sums is None else (*_byte_tables(carrier, mul), sums)
+    if ring.order == ring.group.order:
+        M, A = *_byte_tables(carrier, mul), _additive(ring.group)._sums
+    else:
+        M, A = _byte_tables(carrier, mul, add)
     pairs = (carrier, carrier)
     everywhere = [True] * len(carrier)
     closed = ("ring-not-closed",)
@@ -202,17 +197,16 @@ def _ring_violations(ring: FiniteCommRing, sums: _ByteTable | None = None) -> It
 
 def comm_ring_violations(ring: FiniteCommRing) -> list[Violation]:
     n = ring.group.order
-    add = check_table_shape(ring.group.add)
+    group = _additive(ring.group)
     mul = check_table_shape(ring.mul)
     if len(mul) != n:
         raise InputError("table-shape-mismatch", "mul table does not match group order")
     if not (0 <= ring.one < n):
         raise InputError("identity-out-of-range", f"identity index {ring.one}")
-    (sums,) = _byte_tables(range(n), add)
-    out = _group_violations(sums)
+    out = list(group._group_laws)
     if out:
         return out
-    return list(_ring_violations(ring, sums if ring.order == n else None))
+    return list(_ring_violations(replace(ring, group=group)))
 
 
 def validate_comm_ring(ring: FiniteCommRing) -> FiniteCommRing:
@@ -322,6 +316,11 @@ def semidirect_null(
     ring_product(A, B) with A and B on its two factor subgroups (index
     a + |A|·b); re-verified on every build, so its products come back
     marked as checked (`kernel.check_table_shape`)."""
+    return _null_structure(a, b, phi, name).raw()
+
+
+def _null_structure(a: FiniteCommRing, b: FiniteCommRing, phi: RingHom, name: str) -> LcRng:
+    """`semidirect_null` as the structure its one validation returns."""
     if b.order == 1:
         raise InputError("zero-b", "component B must be a nonzero ring")
     if phi.source != a or phi.target != b:
@@ -334,20 +333,15 @@ def semidirect_null(
         replace(product, one=na * b.one, carrier=tuple(range(0, product.order, na))),
         [na * v for v in phi.mapping],
     )
-    raw = replace(
-        raw,
-        mul=check_table_shape(raw.mul),
-        local_mul=check_table_shape(raw.local_mul, allow_sentinel=True),
-        name=name or (f"null({a.name},{b.name})" if a.name and b.name else ""),
-    )
-    violations = lcrng_violations(raw)
-    if violations:
+    name = name or (f"null({a.name},{b.name})" if a.name and b.name else "")
+    try:
+        return validate_lcrng(replace(raw, name=name))
+    except ValidationFailure as failure:
         raise TheoremAlarm(
             "construction-invalid",
             "null construction failed validation",
-            dump="\n".join(str(v) for v in violations),
-        )
-    return raw
+            dump="\n".join(str(v) for v in failure.violations),
+        ) from failure
 
 
 Walk = list[tuple[int, int, int]]
@@ -712,12 +706,10 @@ def catalog() -> dict[str, LcRng]:
     z2, z4, z6, z3 = zmod(2), zmod(4), zmod(6), zmod(3)
     z2xz2 = ring_product(z2, z2)
     return {
-        "r4": validate_lcrng(semidirect_null(z2, z2, identity_hom(z2), name="r4")),
-        "r8": validate_lcrng(semidirect_null(z4, z2, reduction_hom(z4, z2), name="r8")),
-        "u8": validate_lcrng(
-            semidirect_null(z2xz2, z2, projection_hom(z2xz2, z2, z2, 0), name="u8")
-        ),
-        "r18": validate_lcrng(semidirect_null(z6, z3, reduction_hom(z6, z3), name="r18")),
+        "r4": _null_structure(z2, z2, identity_hom(z2), "r4"),
+        "r8": _null_structure(z4, z2, reduction_hom(z4, z2), "r8"),
+        "u8": _null_structure(z2xz2, z2, projection_hom(z2xz2, z2, z2, 0), "u8"),
+        "r18": _null_structure(z6, z3, reduction_hom(z6, z3), "r18"),
     }
 
 

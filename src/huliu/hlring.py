@@ -28,10 +28,10 @@ from .kernel import (
     Row,
     Subset,
     Table,
+    _additive,
     _bracketed,
     _byte_tables,
     _Checked,
-    _group_violations,
     _law_holds,
     _law_violations,
     _multi_additive,
@@ -129,7 +129,7 @@ LARROW_LAWS = (
 def hlring_violations(raw: RawHlRing) -> list[Violation]:
     """Every failed axiom, first witness each, in a fixed check order."""
     n = raw.group.order
-    add = check_table_shape(raw.group.add)
+    group = _additive(raw.group)
     bullet = check_table_shape(raw.bullet)
     ra = check_table_shape(raw.rarrow)
     la = check_table_shape(raw.larrow)
@@ -139,10 +139,10 @@ def hlring_violations(raw: RawHlRing) -> list[Violation]:
         raise InputError("identity-out-of-range", f"identity index {raw.sigma}")
 
     rng = range(n)
-    (A,) = _byte_tables(rng, add)
-    out = _group_violations(A)
+    out = list(group._group_laws)
     if out:
         return out
+    A = group._sums
     B, R, L = _byte_tables(rng, bullet, ra, la)
     s = raw.sigma
     ident = tuple(rng)
@@ -228,7 +228,7 @@ def hl_commutativity_violation(ring: HlRing) -> Violation | None:
     halo, or None.  The row at x is x⇀y plus the ↼ column at x negated,
     read through the halo's indicator and compared with a row of ones."""
     rng = ring.elements()
-    (A,) = _byte_tables(rng, check_table_shape(ring.group.add))
+    A = _additive(ring.group)._sums
     ra, la = check_table_shape(ring.rarrow), check_table_shape(ring.larrow)
     columns = list(zip(*la))
     negated = bytes(ring.group.negation).ljust(256, b"\0")
@@ -305,10 +305,12 @@ def diassociativity_report(ring: HlRing) -> dict[str, bool]:
     cube = (rng, rng, rng)
     LT, GT = _byte_tables(rng, check_table_shape(ring.larrow), check_table_shape(ring.rarrow))
     try:
-        (A,) = _byte_tables(rng, check_table_shape(ring.group.add))
-        gens = None if _group_violations(A) else A.sum_generators
+        group = _additive(ring.group)
     except InputError:
         gens = None
+    else:
+        A = group._sums
+        gens = None if group._group_laws else A.sum_generators
     laws: list[Law] = []
     decision = None
     if gens is not None:  # the identities rest on both arrows distributing

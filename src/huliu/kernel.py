@@ -9,7 +9,10 @@ The engine compares whole rows: each validator call turns each table into
 bytes rows once (`_ByteTable`), so a gather t[x][s_i] along a row s is one
 `bytes.translate`, and a row that holds costs a constant number of C-level
 calls.  Only this module builds that representation; tables above order
-256 are refused, since entries must fit a byte.
+256 are refused, since entries must fit a byte.  A group whose table of +
+is marked checked carries its row form and its group-law verdict for its
+life (`_additive`), so + is converted and its group laws are proved once
+per group, however many validators read it.
 Subgroups are sums of cyclic subgroups:
 H + <x> = {h + k·x} is already a subgroup, so one multiples walk serves
 closure, the subgroup lattice, generator sequences and element orders, and
@@ -173,6 +176,30 @@ class FiniteAbelianGroup:
         for x in items:
             total = self.add[total][x]
         return total
+
+    # Read only through `_additive`: a group whose table is marked checked
+    # (immutable) keeps these for its life; any other table gets a checked
+    # copy on a new group, for one call.
+    @cached_property
+    def _sums(self) -> _ByteTable:
+        """+ in the law engine's row form over the whole group."""
+        (sums,) = _byte_tables(range(self.order), self.add)
+        return sums
+
+    @cached_property
+    def _group_laws(self) -> tuple[Violation, ...]:
+        """The failed abelian-group axioms of +, as `_group_violations`."""
+        return tuple(_group_violations(self._sums))
+
+
+def _additive(group: FiniteAbelianGroup) -> FiniteAbelianGroup:
+    """The group with its table of + checked (`check_table_shape`): the group
+    itself when that table is marked checked, so that the row form and the
+    group-law verdict it keeps serve every later validator call; otherwise a
+    group on a freshly checked copy, for one call, so that a caller's table
+    (a list it may change) is never read stale."""
+    add = check_table_shape(group.add)
+    return group if add is group.add else FiniteAbelianGroup(group.order, add)
 
 
 Row = Callable[..., tuple]

@@ -26,9 +26,9 @@ from .kernel import (
     Law,
     Subset,
     Table,
+    _additive,
     _byte_tables,
     _distributes,
-    _group_violations,
     _law_violations,
     _multi_additive,
     _product_laws,
@@ -223,7 +223,8 @@ def lcrng_violations(raw: RawLcRng) -> list[Violation]:
 def _checked(raw: RawLcRng) -> tuple[list[Violation], LcRng | None]:
     """lcrng_violations, and the structure they validate when there are none."""
     n = raw.group.order
-    add = check_table_shape(raw.group.add)
+    group = _additive(raw.group)
+    add = group.add
     mul = check_table_shape(raw.mul)
     if len(mul) != n:
         raise InputError("table-shape-mismatch", "mul table does not match group order")
@@ -235,10 +236,10 @@ def _checked(raw: RawLcRng) -> tuple[list[Violation], LcRng | None]:
         raise InputError("left-identity-out-of-range", f"designated left identity {e}")
 
     rng = range(n)
-    (A,) = _byte_tables(rng, add)
-    out = _group_violations(A)
+    out = list(group._group_laws)
     if out:
         return out, None
+    A = group._sums
     (M,) = _byte_tables(rng, mul)
     ident = tuple(rng)
     halo = frozenset(x for x in rng if mul[x][e] == 0)

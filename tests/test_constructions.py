@@ -8,6 +8,7 @@ from huliu import (
     InputError,
     RawLcRng,
     SENTINEL,
+    catalog,
     component_ring,
     direct_sum_group,
     emit_structure,
@@ -25,6 +26,7 @@ from huliu import (
     validate_comm_ring,
     zmod,
 )
+import huliu.lcrng
 from huliu.cli import _resolve_hom
 from huliu.constructions import _ring_structures
 from huliu.kernel import enumerate_subgroups, generating_sequence
@@ -104,6 +106,16 @@ def test_null_construction_invariants(cat):
 def test_builder_output_always_validates():
     raw = semidirect_null(zmod(3), zmod(3), identity_hom(zmod(3)))
     assert lcrng_violations(raw) == []
+
+
+def test_catalog_validates_each_structure_once(monkeypatch):
+    """The construction's own validation is the one the catalog keeps."""
+    checked = huliu.lcrng._checked
+    calls = []
+    monkeypatch.setattr(huliu.lcrng, "_checked", lambda raw: calls.append(raw.name) or checked(raw))
+    structures = catalog()
+    assert calls == ["r4", "r8", "u8", "r18"] == list(structures)
+    assert all(checked(s.raw()) == ([], s) for s in structures.values())
 
 
 def _null_tables(raw):

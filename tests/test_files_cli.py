@@ -210,6 +210,24 @@ def test_cli_usage_matches_the_full_parser(argv, capsys, monkeypatch):
     assert (run(argv), *capsys.readouterr()) == expected
 
 
+def test_each_parser_is_built_once_per_process():
+    for command in (*COMMANDS, None):
+        assert build_parser(command) is build_parser(command)
+    assert len({id(build_parser(c)) for c in (*COMMANDS, None)}) == len(COMMANDS) + 1
+
+
+def test_kept_parsers_answer_as_a_fresh_full_parser(capsys, monkeypatch):
+    """In one process, at one help width and then another, every usage
+    argv gets what a newly built full parser gives."""
+    for columns in ("80", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in USAGE_ARGVS:
+            with pytest.raises(SystemExit) as stop:
+                huliu.cli._new_parser(None).parse_args(argv)
+            expected = (int(stop.value.code or 0), *capsys.readouterr())
+            assert (run(argv), *capsys.readouterr()) == expected, (columns, argv)
+
+
 def test_run_builds_only_the_named_subparser(files, capsys, monkeypatch):
     built = []
 

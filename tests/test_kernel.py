@@ -26,6 +26,7 @@ from huliu import (
     zmod,
 )
 from huliu import kernel
+from huliu.cli import run
 from huliu.kernel import (
     check_table_shape,
     element_orders,
@@ -438,3 +439,59 @@ def test_a_call_leaves_no_reference_cycles():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# A group proves its laws of + once, and its verdict is never shared stale.
+
+
+@pytest.mark.parametrize("command", ["bridge", "hl-verify"])
+def test_bridge_and_hl_verify_prove_the_group_laws_once(command, cat, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "doc.json"
+    doc = cat["r8"] if command == "bridge" else from_lcrng(cat["r8"])
+    path.write_text(emit_structure(doc), encoding="utf-8")
+    calls = []
+    prove = kernel._group_violations
+    monkeypatch.setattr(kernel, "_group_violations", lambda add: calls.append(add) or prove(add))
+    assert run([command, str(path)]) == 0
+    assert len(calls) == 1
+
+
+def test_census_rows_on_z2xz4_are_unchanged(capsys):
+    assert run(["enumerate", "--group", "zmod:2x4", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "0;2;0,1\n"
+    assert run(["enumerate", "--group", "zmod:2x4", "--format", "csv", "--no-dedup"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0;2;0,1", "1;6;0,1", "2;2;0,5", "3;6;0,5", "4;3;0,1", "5;7;0,1", "6;3;0,5", "7;7;0,5"
+    ]
+
+
+def test_a_returned_violation_list_is_the_callers_own(cat):
+    """Each call gets a fresh list, also when the group's verdict is kept."""
+    raw = parse_structure(emit_structure(cat["r8"]))
+    add = [list(row) for row in raw.group.add]
+    add[1][2] = (add[1][2] + 1) % 8  # + is no longer commutative
+    bad = parse_structure(emit_structure(replace(raw, group=FiniteAbelianGroup(8, add))))
+    hl = replace(parse_structure(emit_structure(from_lcrng(cat["r8"]))), group=bad.group)
+    ring = replace(parse_structure(emit_structure(zmod(8))), group=bad.group)
+    first = [*lcrng_violations(bad)]
+    assert "add-not-commutative" in [v.code for v in first]
+    for call, arg in ((lcrng_violations, bad), (hlring_violations, hl), (comm_ring_violations, ring)):
+        found = call(arg)
+        assert found == first
+        found.clear()
+        found.append("junk")
+        assert call(arg) == first
+
+
+def test_a_table_the_caller_may_change_is_read_on_every_call(cat):
+    """Only a group whose + is marked checked keeps its verdict: a list
+    table changed between two calls is checked and proved again."""
+    raw = cat["r8"].raw()
+    add = [list(row) for row in raw.group.add]
+    unmarked = replace(raw, group=FiniteAbelianGroup(8, add))
+    assert lcrng_violations(unmarked) == []
+    add[1][2] = (add[1][2] + 1) % 8
+    assert "add-not-commutative" in [v.code for v in lcrng_violations(unmarked)]
+    add[1][2] = 8
+    with pytest.raises(InputError):
+        lcrng_violations(unmarked)
