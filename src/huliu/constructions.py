@@ -16,8 +16,8 @@ enumerating decompositions, component ring structures, and homs — the
 parametrization the axioms force — and re-validates every result
 exhaustively.  A ring structure on a subgroup is searched as commuting
 additive maps x ↦ x·g, one per generator, checked on generators only; each
-subgroup's rings are found once per census, and the zero subgroup is never
-a component A (φ(1) = φ(0) = 0 is not 1_B).
+subgroup's rings are found at most once per census, and the zero subgroup
+is never a component A (φ(1) = φ(0) = 0 is not 1_B).
 
 A structure is fixed up to isomorphism by its splitting triple (A = R0
 under ·, B = the halo under #, φ), and two structures are isomorphic
@@ -26,7 +26,10 @@ triple a canonical key before assembling it: the least structure-constant
 tables of A and B over the ordered primary bases of their carriers, and the
 least coordinate form of φ over the bases that reach those tables.  Only a
 triple with a new key is assembled and validated; `lcrng_isomorphic`, the
-brute-force search over additive bijections, is kept as the oracle.
+brute-force search over additive bijections, is kept as the oracle.  Up to
+isomorphism only the first complementary pair of subgroups of each pair of
+group types is searched: an automorphism of the group carries its triples
+onto those of every later pair of that type.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, TheoremAlarm, ValidationFailure, Violation
 from .kernel import (
@@ -501,17 +504,13 @@ class _TripleKeys:
     triple's key adds the least coordinate form of φ, the φ(a_i) in
     b-coordinates, over those bases a of A and b of B.  Two triples get one
     key exactly when they are isomorphic through ring isomorphisms α, β
-    with φ′∘α = β∘φ.  A least table is found once per ring up to relabeling:
-    it is cached by the ring's constants over its carrier's first basis.
+    with φ′∘α = β∘φ.
     """
 
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
-        # carrier -> coordinates of each of its bases, the reference basis first
+        # carrier -> coordinates of each of its bases
         self.frames: dict[Subset, dict[tuple[int, ...], Coordinates]] = {}
-        # (orders, reference constants) -> (least table, its bases in reference coordinates)
-        self.tables: dict[tuple, tuple[tuple, list[tuple[tuple[int, ...], ...]]]] = {}
-        self.rings: dict[tuple[tuple[int, ...], int], _RingKey] = {}
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
@@ -530,31 +529,18 @@ class _TripleKeys:
             }
         return coords
 
-    def ring(self, ring: FiniteCommRing, index: int) -> _RingKey:
-        """The key of a ring, the index-th structure on its carrier."""
+    def ring(self, ring: FiniteCommRing) -> _RingKey:
+        """The key of a ring: its least constant table over its carrier's bases."""
         carrier = ring.carrier
-        found = self.rings.get((carrier, index))
-        if found is None:
-            if carrier not in self.frames:
-                self.frames[carrier] = {
-                    b: self._coordinates(b)
-                    for b in _primary_bases(self.group, carrier, self.orders)
-                }
-            frame = self.frames[carrier]
-            ref, ref_coords = next(iter(frame.items()))
-            orders = tuple(self.orders[x] for x in ref)
-            constants = _constants(ring.mul, ref, ref_coords)
-            if (orders, constants) not in self.tables:
-                forms = {b: _constants(ring.mul, b, c) for b, c in frame.items()}
-                least = min(forms.values())
-                reaching = [tuple(ref_coords[x] for x in b) for b, f in forms.items() if f == least]
-                self.tables[(orders, constants)] = (least, reaching)
-            least, reaching = self.tables[(orders, constants)]
-            point = {c: x for x, c in ref_coords.items()}
-            bases = [tuple(point[c] for c in b) for b in reaching]
-            found = _RingKey((orders, least), {b: frame[b] for b in bases})
-            self.rings[(carrier, index)] = found
-        return found
+        if carrier not in self.frames:
+            self.frames[carrier] = {
+                b: self._coordinates(b) for b in _primary_bases(self.group, carrier, self.orders)
+            }
+        frame = self.frames[carrier]
+        forms = {b: _constants(ring.mul, b, c) for b, c in frame.items()}
+        least = min(forms.values())
+        orders = tuple(self.orders[x] for x in next(iter(frame)))
+        return _RingKey((orders, least), {b: frame[b] for b, f in forms.items() if f == least})
 
     @staticmethod
     def triple(a: _RingKey, b: _RingKey, phi: Sequence[int]) -> tuple:
@@ -576,10 +562,12 @@ def enumerate_lcrngs(
     subgroups, found in a fixed order; `max_candidates` stops after that
     many triples.  Without dedup every triple is assembled and validated.
     With dedup only a triple whose canonical key (`_TripleKeys`) is new is,
-    so each class keeps its first-found triple.  Keys are computed once the
-    census has found a φ, and a (ring of A, ring of B) pair whose two ring
-    keys have already run in full is skipped with the number of homs that
-    run counted: isomorphic pairs have as many homs and no new keys.
+    so each class keeps its first-found triple.  Only the first carrier
+    pair of each pair of group types runs, and each later one counts that
+    pair's triples: if A ⊕ B = A′ ⊕ B′ with A ≅ A′ and B ≅ B′, the two
+    isomorphisms glue to an automorphism of the group that carries the
+    triples on (A, B) one to one onto isomorphic triples on (A′, B′).  The
+    rings on a carrier get their keys when a first triple on it is keyed.
     """
     n = group.order
     if n > 16:
@@ -587,51 +575,48 @@ def enumerate_lcrngs(
     if max_candidates is not None and max_candidates <= 0:
         return []
 
-    subgroups = enumerate_subgroups(group)
-    ring_structures = cache(lambda carrier: list(_ring_structures(group, carrier)))
     keys = _TripleKeys(group)
+    rings = cache(lambda carrier: list(_ring_structures(group, carrier)))
+    ring_keys = cache(lambda carrier: [keys.ring(r) for r in rings(carrier)])
     seen: set[tuple] = set()
-    runs: dict[tuple, int] = {}  # (key of A, key of B) -> homs of a pair run in full
+    runs: dict[tuple, int] = {}  # (type of A, type of B) -> triples of its first pair
     found: list[LcRng] = []
     count = 0
-    for a_carrier in subgroups:
-        if len(a_carrier) < 2:
-            continue  # phi(1_A) = phi(0) = 0 is never 1_B
-        for b_carrier in subgroups:
-            if len(b_carrier) < 2:
-                continue
-            if a_carrier & b_carrier != {0}:
-                continue
-            if len(a_carrier) * len(b_carrier) != n:
-                continue
-            for ia, a in enumerate(ring_structures(a_carrier)):
-                for ib, b in enumerate(ring_structures(b_carrier)):
-                    homs = _hom_maps(a, b)
-                    if dedup:
-                        if not runs:  # no key work until the census finds a φ
-                            first = next(homs, None)
-                            if first is None:
-                                continue
-                            homs = itertools.chain([first], homs)
-                        a_key = keys.ring(a, ia)
-                        b_key = keys.ring(b, ib)
-                        pair = (a_key.key, b_key.key)
-                        if pair in runs:
-                            count += runs[pair]
-                            if max_candidates is not None and count >= max_candidates:
-                                return found
-                            continue
-                    run = 0
-                    for phi in homs:
-                        run += 1
-                        count += 1
-                        if not dedup or _new(seen, keys.triple(a_key, b_key, phi)):
-                            found.append(validate_lcrng(_assemble(a, b, phi)))
-                        if max_candidates is not None and count >= max_candidates:
-                            return found
-                    if dedup:
-                        runs[pair] = run
+    for a_carrier, b_carrier in _complements(group):
+        kind = (_type(keys.orders, a_carrier), _type(keys.orders, b_carrier))
+        if dedup and kind in runs:
+            count += runs[kind]
+            if max_candidates is not None and count >= max_candidates:
+                return found
+            continue
+        start = count
+        pairs = itertools.product(enumerate(rings(a_carrier)), enumerate(rings(b_carrier)))
+        for (i, a), (j, b) in pairs:
+            for phi in _hom_maps(a, b):
+                count += 1
+                if not dedup or _new(
+                    seen, keys.triple(ring_keys(a_carrier)[i], ring_keys(b_carrier)[j], phi)
+                ):
+                    found.append(validate_lcrng(_assemble(a, b, phi)))
+                if max_candidates is not None and count >= max_candidates:
+                    return found
+        runs[kind] = count - start
     return found
+
+
+def _complements(group: FiniteAbelianGroup) -> Iterator[tuple[Subset, Subset]]:
+    """Each pair of nonzero subgroups (A, B) with A ⊕ B the group, A in
+    subgroup order, then B.  The zero subgroup is never a component A:
+    φ(1_A) = φ(0) = 0 is never 1_B."""
+    subgroups = [h for h in enumerate_subgroups(group) if len(h) > 1]
+    for a, b in itertools.product(subgroups, repeat=2):
+        if len(a) * len(b) == group.order and a & b == {0}:
+            yield a, b
+
+
+def _type(orders: Sequence[int], carrier: Iterable[int]) -> tuple[int, ...]:
+    """A finite abelian group's type up to isomorphism: its sorted element orders."""
+    return tuple(sorted(orders[x] for x in carrier))
 
 
 def _new(seen: set[tuple], key: tuple) -> bool:
@@ -671,7 +656,7 @@ def lcrng_isomorphic(r1: LcRng, r2: LcRng) -> bool:
     g1, g2 = r1.group, r2.group
     orders1 = element_orders(g1)
     orders2 = element_orders(g2)
-    if sorted(orders1) != sorted(orders2):
+    if _type(orders1, range(n)) != _type(orders2, range(n)):
         return False
     gens = generating_sequence(g1, frozenset(range(n)))
     walk = _walk(g1, gens)

@@ -126,15 +126,19 @@ LARROW_LAWS = (
 )
 
 
+def _products(n: int, *tables: Table) -> list[Table]:
+    """Each product table with its shape checked, all of the group's order n."""
+    checked = [check_table_shape(t) for t in tables]
+    if any(len(t) != n for t in checked):
+        raise InputError("table-shape-mismatch", "product tables do not match group order")
+    return checked
+
+
 def hlring_violations(raw: RawHlRing) -> list[Violation]:
     """Every failed axiom, first witness each, in a fixed check order."""
     n = raw.group.order
     group = _additive(raw.group)
-    bullet = check_table_shape(raw.bullet)
-    ra = check_table_shape(raw.rarrow)
-    la = check_table_shape(raw.larrow)
-    if len(bullet) != n or len(ra) != n or len(la) != n:
-        raise InputError("table-shape-mismatch", "product tables do not match group order")
+    bullet, ra, la = _products(n, raw.bullet, raw.rarrow, raw.larrow)
     if not (0 <= raw.sigma < n):
         raise InputError("identity-out-of-range", f"identity index {raw.sigma}")
 
@@ -229,7 +233,7 @@ def hl_commutativity_violation(ring: HlRing) -> Violation | None:
     read through the halo's indicator and compared with a row of ones."""
     rng = ring.elements()
     A = _additive(ring.group)._sums
-    ra, la = check_table_shape(ring.rarrow), check_table_shape(ring.larrow)
+    ra, la = _products(ring.order, ring.rarrow, ring.larrow)
     columns = list(zip(*la))
     negated = bytes(ring.group.negation).ljust(256, b"\0")
     inside = bytes(map(ring.halo.__contains__, rng)).ljust(256, b"\0")
@@ -303,7 +307,7 @@ def diassociativity_report(ring: HlRing) -> dict[str, bool]:
     distribute over it, and are scanned in full otherwise."""
     rng = ring.elements()
     cube = (rng, rng, rng)
-    LT, GT = _byte_tables(rng, check_table_shape(ring.larrow), check_table_shape(ring.rarrow))
+    LT, GT = _byte_tables(rng, *_products(ring.order, ring.larrow, ring.rarrow))
     try:
         group = _additive(ring.group)
     except InputError:

@@ -34,7 +34,7 @@ from huliu import (
     subrng_violation,
     validate_lcrng,
 )
-from huliu import kernel
+from huliu import constructions, kernel
 from huliu.kernel import generating_sequence, subset_key
 
 # Every abelian group of order <= 16, one presentation each; the cyclic ones carry none.
@@ -601,6 +601,31 @@ def brute_dedup(structures: list[LcRng]) -> list[LcRng]:
         if not any(lcrng_isomorphic(s, t) for t in kept):
             kept.append(s)
     return kept
+
+
+def all_pairs_firsts(group: FiniteAbelianGroup) -> list[tuple[int, LcRng]]:
+    """Each class of the census with no carrier-type skip: every
+    complementary pair of nonzero subgroups, every pair of rings on them and
+    every φ, a triple kept when its `_TripleKeys.triple` key is new, as
+    (position of its first triple among all triples, that triple).  A
+    census cut after K triples keeps the classes with position below K."""
+    keys = constructions._TripleKeys(group)
+    subgroups = [h for h in enumerate_subgroups(group) if len(h) > 1]
+    seen: set[tuple] = set()
+    firsts = []
+    count = 0
+    for a_carrier, b_carrier in itertools.product(subgroups, repeat=2):
+        if a_carrier & b_carrier != {0} or len(a_carrier) * len(b_carrier) != group.order:
+            continue
+        b_rings = list(constructions._ring_structures(group, b_carrier))
+        for a, b in itertools.product(constructions._ring_structures(group, a_carrier), b_rings):
+            for phi in constructions._hom_maps(a, b):
+                key = keys.triple(keys.ring(a), keys.ring(b), phi)
+                if key not in seen:
+                    seen.add(key)
+                    firsts.append((count, validate_lcrng(constructions._assemble(a, b, phi))))
+                count += 1
+    return firsts
 
 
 def coefficient_subrings(structure: LcRng, subset) -> tuple[frozenset[int], frozenset[int]]:

@@ -28,9 +28,17 @@ from huliu import (
 )
 import huliu.lcrng
 from huliu.cli import _resolve_hom
+import huliu.constructions
 from huliu.constructions import _ring_structures
 from huliu.kernel import enumerate_subgroups, generating_sequence
-from oracles import brute_dedup, brute_ring_structures, is_ring_table, reference_null
+from oracles import (
+    GROUPS_TO_16,
+    all_pairs_firsts,
+    brute_dedup,
+    brute_ring_structures,
+    is_ring_table,
+    reference_null,
+)
 
 
 def test_zmod_values():
@@ -256,7 +264,7 @@ def test_census_keeps_the_representatives_of_the_brute_dedup(orders):
 def test_max_candidates_counts_the_triples_of_skipped_pairs(census_of):
     """With K candidates the census keeps the classes whose first triple is
     among the first K, the same cut as without dedup, although it skips
-    whole ring pairs and assembles one triple per class."""
+    whole carrier pairs and assembles one triple per class."""
     group = direct_sum_group([2, 2, 2])
     raw = [_tables(s) for s in enumerate_lcrngs(group, dedup=False)]
     firsts = [raw.index(_tables(s)) for s in census_of((2, 2, 2))]
@@ -264,6 +272,37 @@ def test_max_candidates_counts_the_triples_of_skipped_pairs(census_of):
     for k in sorted({1, 2, 3, len(raw), len(raw) + 1} | {p + d for p in firsts for d in (0, 1)}):
         kept = [_tables(s) for s in enumerate_lcrngs(group, max_candidates=k)]
         assert kept == [raw[p] for p in firsts if p < k], k
+
+
+@pytest.mark.parametrize("orders", [o for o in GROUPS_TO_16 if o != (2, 2, 2, 2)], ids=_spec)
+def test_census_keeps_what_every_carrier_pair_keeps(orders):
+    """Every abelian group of order <= 16 but Z2^4 (its 21 classes are
+    pinned by CENSUS; the oracle takes seconds there): skipping the carrier
+    pairs of a type already run keeps the classes, and the cut of
+    max_candidates, of running every pair.  Cut-offs fall one below, at and
+    one above each class's first triple."""
+    group = direct_sum_group(orders)
+    firsts = all_pairs_firsts(group)
+    assert [_tables(s) for s in enumerate_lcrngs(group)] == [_tables(s) for _, s in firsts]
+    for k in sorted({p + d for p, _ in firsts for d in (0, 1, 2)} - {0}):
+        kept = [_tables(s) for s in enumerate_lcrngs(group, max_candidates=k)]
+        assert kept == [_tables(s) for p, s in firsts if p < k], k
+
+
+def test_census_finds_the_rings_of_one_carrier_per_type(census_of, monkeypatch):
+    """Z2^4 has three pairs of carrier types, (Z2, Z2^3), (Z2^2, Z2^2) and
+    (Z2^3, Z2), and 65 nonzero proper subgroups; the rings are searched on
+    the six carriers of the first pair of each type only."""
+    carriers = []
+
+    def counted(group, carrier, real=_ring_structures):
+        carriers.append(carrier)
+        return real(group, carrier)
+
+    monkeypatch.setattr(huliu.constructions, "_ring_structures", counted)
+    census = enumerate_lcrngs(direct_sum_group([2, 2, 2, 2]))
+    assert len(carriers) == len(set(carriers)) == 6
+    assert [_tables(s) for s in census] == [_tables(s) for s in census_of((2, 2, 2, 2))]
 
 
 def test_census_klein_contains_r4(cat):

@@ -1,7 +1,10 @@
 import random
 from dataclasses import replace
 
+import pytest
+
 from huliu import (
+    InputError,
     RawHlRing,
     diassociativity_report,
     from_lcrng,
@@ -138,3 +141,20 @@ def test_arrow_associativity_is_enforced_by_the_validator():
     rows[2][3] = (rows[2][3] + 1) % 4
     violations = hlring_violations(replace(ring.raw(), rarrow=tuple(map(tuple, rows))))
     assert any(v.code == "rarrow-not-associative" for v in violations)
+
+
+@pytest.mark.parametrize("report", [hl_commutativity_violation, diassociativity_report])
+@pytest.mark.parametrize("arrow", ["rarrow", "larrow", "both"])
+def test_an_arrow_not_of_the_group_order_is_an_input_error(r4, report, arrow):
+    """An order-2 arrow on the order-4 bridge of r4 is refused as
+    `hlring_violations` refuses it, not read past its end."""
+    small = ((0, 1), (1, 0))
+    names = ["rarrow", "larrow"] if arrow == "both" else [arrow]
+    ring = replace(from_lcrng(r4), **dict.fromkeys(names, small))
+    with pytest.raises(InputError) as err:
+        report(ring)
+    assert err.value.code == "table-shape-mismatch"
+    assert str(err.value) == "table-shape-mismatch: product tables do not match group order"
+    with pytest.raises(InputError) as err:
+        hlring_violations(ring.raw())
+    assert err.value.code == "table-shape-mismatch"
