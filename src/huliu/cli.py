@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -41,7 +42,7 @@ from .hlring import (
 )
 from .ideals import GradedIdeal, enumerate_ideals, is_huliu_prime, spectrum
 from .integrality import _graded_search
-from .kernel import GROUP_CHECKS, format_subset, parse_subset
+from .kernel import GROUP_CHECKS, direct_sum_group, format_subset, parse_subset
 from .lcrng import LCRNG_CHECKS, RawLcRng, decompose, lcrng_violations, validate_lcrng
 from .lyingover import embed_check, verify_lying_over_all
 
@@ -197,15 +198,23 @@ def _spec_orders(spec: str) -> list[int]:
     return orders
 
 
-def _rings_from_specs(specs: Sequence[str], cap: int, what: str) -> list[FiniteCommRing]:
-    """The rings zmod:N or zmod:NxM... (products of cyclic rings).  The
-    product of all their orders must not pass cap; that is checked before
-    any table is built, since building one is quadratic in its order."""
+def _orders_from_specs(specs: Sequence[str], cap: int, what: str) -> list[list[int]]:
+    """The cyclic orders of each spec zmod:N or zmod:NxM....  The product of
+    all of them must not pass cap; that is checked before any table is
+    built, since building one is quadratic in its order."""
     parsed = [_spec_orders(spec) for spec in specs]
     total = math.prod(n for orders in parsed for n in orders)
     if total > cap:
         raise InputError("order-too-large", f"{what} is capped at order {cap}, got {total}")
-    return [functools.reduce(ring_product, map(zmod, orders)) for orders in parsed]
+    return parsed
+
+
+def _rings_from_specs(specs: Sequence[str], cap: int, what: str) -> list[FiniteCommRing]:
+    """The rings zmod:N or zmod:NxM... (products of cyclic rings)."""
+    return [
+        functools.reduce(ring_product, map(zmod, orders))
+        for orders in _orders_from_specs(specs, cap, what)
+    ]
 
 
 def _resolve_hom(a_spec: str, b_spec: str, hom: str):
@@ -247,8 +256,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise InputError(
             "bad-max-candidates", f"--max-candidates must be >= 1, got {args.max_candidates}"
         )
-    (ring,) = _rings_from_specs([args.group], 16, "census")
-    group = ring.group
+    (orders,) = _orders_from_specs([args.group], 16, "census")
+    group = direct_sum_group(orders)
     structures = enumerate_lcrngs(
         group, max_candidates=args.max_candidates, dedup=not args.no_dedup
     )
@@ -390,4 +399,13 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`huliu ... | head -1`).  Point
+        # stdout at devnull, so the flush at exit cannot fail again, and
+        # exit 1, as Python does on a broken pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

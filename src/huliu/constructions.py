@@ -29,7 +29,9 @@ triple with a new key is assembled and validated; `lcrng_isomorphic`, the
 brute-force search over additive bijections, is kept as the oracle.  Up to
 isomorphism only the first complementary pair of subgroups of each pair of
 group types is searched: an automorphism of the group carries its triples
-onto those of every later pair of that type.
+onto those of every later pair of that type.  A pair whose exponents
+rule out a unital φ (exp B ∤ exp A) is skipped before its rings are
+listed.
 """
 
 from __future__ import annotations
@@ -568,6 +570,13 @@ def enumerate_lcrngs(
     isomorphisms glue to an automorphism of the group that carries the
     triples on (A, B) one to one onto isomorphic triples on (A′, B′).  The
     rings on a carrier get their keys when a first triple on it is keyed.
+
+    A carrier pair runs only when exp B divides exp A, the exponent being
+    the last entry of a type; any other pair has no unital φ, so no triple
+    and nothing to count.  In a unital ring R on a finite abelian group,
+    m·x = (m·1)·x, so m·1 = 0 gives m·R = 0, and the additive order of 1
+    is the exponent of (R, +).  An additive φ with φ(1_A) = 1_B gives
+    ord 1_B | ord 1_A, that is exp B | exp A.
     """
     n = group.order
     if n > 16:
@@ -584,6 +593,8 @@ def enumerate_lcrngs(
     count = 0
     for a_carrier, b_carrier in _complements(group):
         kind = (_type(keys.orders, a_carrier), _type(keys.orders, b_carrier))
+        if kind[0][-1] % kind[1][-1]:
+            continue  # exp B ∤ exp A: no unital φ
         if dedup and kind in runs:
             count += runs[kind]
             if max_candidates is not None and count >= max_candidates:

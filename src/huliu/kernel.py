@@ -31,6 +31,7 @@ allowed), and a marked table is returned at once by the next check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import contains, getitem, itemgetter
@@ -731,14 +732,23 @@ def element_orders(group: FiniteAbelianGroup) -> tuple[int, ...]:
 
 
 def direct_sum_group(orders: Sequence[int]) -> FiniteAbelianGroup:
-    """Z_{n1} x ... x Z_{nk} with mixed-radix indexing, first factor fastest."""
+    """Z_{n1} x ... x Z_{nk} with mixed-radix indexing, first factor fastest.
+
+    The table is built by arithmetic: with uᵢ the index of the i-th unit
+    vector, row x is row x - uᵢ read through the permutation y ↦ y + uᵢ, for
+    the first factor i where x has a nonzero coordinate.  It comes back
+    marked as checked and is not validated here: the first validator that
+    reads the group proves its group laws once (`_additive`), and every
+    later one reuses that verdict."""
     if not orders or any(n < 1 for n in orders):
         raise InputError("bad-group-spec", f"bad cyclic orders {orders!r}")
-    # Each index's coordinates, in index order: the last factor runs slowest.
-    coords = [c[::-1] for c in itertools.product(*map(range, reversed(orders)))]
-    index = {c: i for i, c in enumerate(coords)}
-    add = [
-        [index[tuple((a + b) % n for a, b, n in zip(x, y, orders))] for y in coords]
-        for x in coords
-    ]
-    return validate_group(add)
+    n = math.prod(orders)
+    rows = [tuple(range(n))]
+    unit = 1  # the index of the current factor's unit vector
+    for k in orders:
+        # y + unit: that factor's coordinate steps up, from k - 1 back to 0
+        plus = [y + unit if y // unit % k < k - 1 else y - (k - 1) * unit for y in range(n)]
+        for x in range(unit, unit * k):
+            rows.append(tuple(map(plus.__getitem__, rows[x - unit])))
+        unit *= k
+    return FiniteAbelianGroup(order=n, add=check_table_shape(rows))

@@ -30,7 +30,7 @@ import huliu.lcrng
 from huliu.cli import _resolve_hom
 import huliu.constructions
 from huliu.constructions import _ring_structures
-from huliu.kernel import enumerate_subgroups, generating_sequence
+from huliu.kernel import element_orders, enumerate_subgroups, generating_sequence
 from oracles import (
     GROUPS_TO_16,
     all_pairs_firsts,
@@ -303,6 +303,50 @@ def test_census_finds_the_rings_of_one_carrier_per_type(census_of, monkeypatch):
     census = enumerate_lcrngs(direct_sum_group([2, 2, 2, 2]))
     assert len(carriers) == len(set(carriers)) == 6
     assert [_tables(s) for s in census] == [_tables(s) for s in census_of((2, 2, 2, 2))]
+
+
+# Carriers whose rings the census searches: only pairs with exp B | exp A
+# run.  A cyclic group splits only into summands of coprime orders, so none
+# of Z6, Z10, Z12, Z14, Z15 and Z3xZ5 runs a pair; Z2xZ6 runs (Z6, Z2) alone,
+# Z2^2xZ4 (Z4, Z2^2) and (Z2xZ4, Z2), and Z2^4 all three of its type pairs.
+RING_SEARCHES = {
+    (6,): 0,
+    (10,): 0,
+    (12,): 0,
+    (14,): 0,
+    (15,): 0,
+    (3, 5): 0,
+    (2, 6): 2,
+    (2, 2, 3): 2,
+    (2, 2, 4): 4,
+    (2, 2, 2, 2): 6,
+}
+
+
+@pytest.mark.parametrize("orders", list(RING_SEARCHES), ids=_spec)
+def test_census_searches_no_rings_on_pairs_without_a_unital_hom(orders, monkeypatch):
+    carriers = []
+
+    def counted(group, carrier, real=_ring_structures):
+        carriers.append(carrier)
+        return real(group, carrier)
+
+    monkeypatch.setattr(huliu.constructions, "_ring_structures", counted)
+    enumerate_lcrngs(direct_sum_group(orders))
+    assert len(carriers) == len(set(carriers)) == RING_SEARCHES[orders]
+
+
+@pytest.mark.parametrize("orders", ORACLE_GROUPS, ids=_spec)
+def test_the_identity_of_a_ring_has_the_exponent_as_its_order(orders):
+    """The lemma behind the census's exponent skip, on every subgroup of
+    every abelian group of order <= 12: m·x = (m·1)·x, so the additive
+    order of 1 is the largest element order of the carrier."""
+    group = direct_sum_group(orders)
+    orders_of = element_orders(group)
+    for carrier in enumerate_subgroups(group):
+        exponent = max(orders_of[x] for x in carrier)
+        for ring in _ring_structures(group, carrier):
+            assert orders_of[ring.one] == exponent, sorted(carrier)
 
 
 def test_census_klein_contains_r4(cat):

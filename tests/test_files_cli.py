@@ -257,6 +257,27 @@ def test_module_entry_point_reads_sys_argv(monkeypatch, capsys):
     assert (done.returncode, done.stdout, done.stderr) == (0, *capsys.readouterr())
 
 
+def test_a_reader_that_closes_early_gets_no_traceback():
+    """`huliu ... | head -1`: the census of Z2^3 without dedup writes about
+    600 KB, far more than a pipe holds, so its writes meet the closed pipe;
+    the console script exits 1 with nothing on stderr."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    argv = ["enumerate", "--group", "zmod:2x2x2", "--no-dedup", "--emit"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "huliu", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline() == "enumerate zmod:2x2x2\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err == ""
+
+
 def test_readme_command_block_lists_the_subcommand_table():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```")[1]

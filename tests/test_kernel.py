@@ -1,6 +1,6 @@
 from collections import Counter
 from dataclasses import replace
-from functools import cache
+from functools import cache, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +14,13 @@ from huliu import (
     diassociativity_report,
     direct_sum_group,
     emit_structure,
+    enumerate_lcrngs,
     enumerate_subgroups,
     from_lcrng,
     hlring_violations,
     lcrng_violations,
     parse_structure,
+    ring_product,
     subgroup_closure,
     validate_group,
     validate_hlring,
@@ -288,6 +290,45 @@ def test_elementary_abelian_subgroup_counts(p, n):
     for s in subs:
         assert 0 in s
         assert all(g.add[a][b] in s for a in s for b in s)
+
+
+def _factorisations(n):
+    """Every ordered factorisation of n into factors >= 2."""
+    if n == 1:
+        return [()]
+    return [(d, *rest) for d in range(2, n + 1) if n % d == 0 for rest in _factorisations(n // d)]
+
+
+def test_direct_sum_group_is_the_group_of_the_product_ring():
+    """The table built by arithmetic is the one the product of cyclic rings
+    builds, index x + |A|·y, on every ordered factorisation of n <= 16 and
+    on orders with factors of 1."""
+    cases = [f for n in range(2, 17) for f in _factorisations(n)]
+    for orders in [*cases, (1,), (1, 4, 4), (2, 1, 2), (3, 1)]:
+        ring = reduce(ring_product, map(zmod, orders))
+        assert direct_sum_group(orders).add == ring.group.add, orders
+
+
+def test_direct_sum_groups_up_to_order_64_are_groups():
+    """direct_sum_group marks its table checked without validating it."""
+    cases = [f for n in range(2, 65) for f in _factorisations(n)]
+    assert len(cases) == 440
+    for orders in cases:
+        group = direct_sum_group(orders)
+        assert check_table_shape(group.add) is group.add
+        assert group_violations(group.add) == [], orders
+
+
+def test_a_census_proves_the_group_laws_of_a_direct_sum_once(monkeypatch):
+    proofs = []
+
+    def counted(add, real=kernel._group_violations):
+        proofs.append(add)
+        return real(add)
+
+    monkeypatch.setattr(kernel, "_group_violations", counted)
+    assert len(enumerate_lcrngs(direct_sum_group([2, 2, 2]))) == 5
+    assert len(proofs) == 1
 
 
 # The law engine: each law settled at most once, decisions in place of scans.
