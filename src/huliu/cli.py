@@ -188,10 +188,11 @@ def _cmd_lying_over(args: argparse.Namespace) -> int:
 def _spec_orders(spec: str) -> list[int]:
     if not spec.startswith("zmod:"):
         raise InputError("bad-ring-spec", f"expected zmod:N or zmod:NxM..., got {spec!r}")
-    try:
-        orders = [int(p) for p in spec.split(":", 1)[1].split("x")]
-    except ValueError as exc:
-        raise InputError("bad-ring-spec", f"cannot parse {spec!r}") from exc
+    factors = spec.split(":", 1)[1].split("x")
+    # int() would also read signs, spaces, underscores and non-ASCII digits
+    if not all(f.isascii() and f.isdigit() for f in factors):
+        raise InputError("bad-ring-spec", f"cannot parse {spec!r}")
+    orders = [int(f) for f in factors]
     for n in orders:
         if n < 1:
             raise InputError("bad-order", f"zmod needs n >= 1, got {n}")

@@ -31,12 +31,18 @@ isomorphism only the first complementary pair of subgroups of each pair of
 group types is searched: an automorphism of the group carries its triples
 onto those of every later pair of that type.  A pair whose exponents
 rule out a unital φ (exp B ∤ exp A) is skipped before its rings are
-listed.
+listed, and a cyclic group, where every pair is such a pair, is answered
+before any subgroup is listed.  The rings on a carrier fall into
+isomorphism classes from one constant table each; only the first ring of
+a class is keyed over every basis, and the homs are searched only between
+the first rings of two classes, every later pair of those classes counting
+as many.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -507,6 +513,12 @@ class _TripleKeys:
     b-coordinates, over those bases a of A and b of B.  Two triples get one
     key exactly when they are isomorphic through ring isomorphisms α, β
     with φ′∘α = β∘φ.
+
+    The rings on one carrier fall into classes (`classes`) from one table
+    each: any two ordered primary bases have the same orders, so an
+    automorphism of the carrier carries one onto the other, and the tables
+    of a ring over all bases are the first-basis tables of the rings
+    isomorphic to it on its carrier.
     """
 
     def __init__(self, group: FiniteAbelianGroup):
@@ -531,18 +543,43 @@ class _TripleKeys:
             }
         return coords
 
-    def ring(self, ring: FiniteCommRing) -> _RingKey:
-        """The key of a ring: its least constant table over its carrier's bases."""
-        carrier = ring.carrier
+    def _frame(self, carrier: Subset) -> dict[tuple[int, ...], Coordinates]:
+        """The coordinates of each ordered primary basis of a carrier."""
         if carrier not in self.frames:
             self.frames[carrier] = {
                 b: self._coordinates(b) for b in _primary_bases(self.group, carrier, self.orders)
             }
-        frame = self.frames[carrier]
-        forms = {b: _constants(ring.mul, b, c) for b, c in frame.items()}
+        return self.frames[carrier]
+
+    def ring(self, ring: FiniteCommRing) -> _RingKey:
+        """The key of a ring: its least constant table over its carrier's bases."""
+        return self._key(ring, self._forms(ring))
+
+    def _forms(self, ring: FiniteCommRing) -> dict[tuple[int, ...], tuple]:
+        """A ring's constant table over each basis of its carrier."""
+        return {b: _constants(ring.mul, b, c) for b, c in self._frame(ring.carrier).items()}
+
+    def _key(self, ring: FiniteCommRing, forms: dict[tuple[int, ...], tuple]) -> _RingKey:
+        frame = self._frame(ring.carrier)
         least = min(forms.values())
         orders = tuple(self.orders[x] for x in next(iter(frame)))
         return _RingKey((orders, least), {b: frame[b] for b, f in forms.items() if f == least})
+
+    def classes(self, rings: Iterable[FiniteCommRing]) -> list[_RingKey]:
+        """Each ring on one carrier with the key of the first ring of its
+        class.  A ring whose first-basis table is a table of an earlier
+        class joins it; only the first ring of a class is keyed over every
+        basis.  The bases of the key are those of that first ring."""
+        known: dict[tuple, _RingKey] = {}
+        keys = []
+        for ring in rings:
+            basis, coords = next(iter(self._frame(ring.carrier).items()))
+            form = _constants(ring.mul, basis, coords)
+            if form not in known:
+                forms = self._forms(ring)
+                known.update(dict.fromkeys(forms.values(), self._key(ring, forms)))
+            keys.append(known[form])
+        return keys
 
     @staticmethod
     def triple(a: _RingKey, b: _RingKey, phi: Sequence[int]) -> tuple:
@@ -568,8 +605,15 @@ def enumerate_lcrngs(
     pair of each pair of group types runs, and each later one counts that
     pair's triples: if A ⊕ B = A′ ⊕ B′ with A ≅ A′ and B ≅ B′, the two
     isomorphisms glue to an automorphism of the group that carries the
-    triples on (A, B) one to one onto isomorphic triples on (A′, B′).  The
-    rings on a carrier get their keys when a first triple on it is keyed.
+    triples on (A, B) one to one onto isomorphic triples on (A′, B′).
+
+    Within a carrier pair, with dedup, the φ are searched only on the pair
+    of the first rings of two ring classes (`_TripleKeys.classes`); every
+    later ring pair of those classes counts that pair's φ.  Isomorphisms
+    α: A → A′ and β: B → B′ carry φ to β∘φ∘α⁻¹, one to one, so the later
+    pair has as many φ and none of a new class; the first pair precedes it
+    in product order, so every class keeps its first triple and every cut
+    of `max_candidates` falls where it fell.
 
     A carrier pair runs only when exp B divides exp A, the exponent being
     the last entry of a type; any other pair has no unital φ, so no triple
@@ -577,16 +621,28 @@ def enumerate_lcrngs(
     m·x = (m·1)·x, so m·1 = 0 gives m·R = 0, and the additive order of 1
     is the exponent of (R, +).  An additive φ with φ(1_A) = 1_B gives
     ord 1_B | ord 1_A, that is exp B | exp A.
+
+    So a cyclic group, one with an element of order |G|, has no structure,
+    and it is answered before any subgroup is listed.  A ⊕ B is cyclic only
+    when gcd(|A|, |B|) = 1, and then exp B = |B| > 1 is prime to exp A.
+    Conversely a group that is not cyclic has a Sylow p-subgroup
+    Z_{p^a} ⊕ P′ with P′ nonzero and exp P′ | p^a.  Take A = Z_{p^a} ⊕ the
+    other Sylow subgroups and B = P′, each a product of cyclic rings: the
+    projection onto Z_{p^a} followed by reduction into each cyclic factor
+    of B is a unital φ.  So the census is empty exactly on cyclic groups.
     """
     n = group.order
     if n > 16:
         raise InputError("order-too-large", f"census is capped at order 16, got {n}")
-    if max_candidates is not None and max_candidates <= 0:
+    limit = math.inf if max_candidates is None else max_candidates
+    if limit <= 0:
         return []
 
     keys = _TripleKeys(group)
+    if n in keys.orders:
+        return []  # cyclic
     rings = cache(lambda carrier: list(_ring_structures(group, carrier)))
-    ring_keys = cache(lambda carrier: [keys.ring(r) for r in rings(carrier)])
+    classes = cache(lambda carrier: keys.classes(rings(carrier)))
     seen: set[tuple] = set()
     runs: dict[tuple, int] = {}  # (type of A, type of B) -> triples of its first pair
     found: list[LcRng] = []
@@ -597,20 +653,28 @@ def enumerate_lcrngs(
             continue  # exp B ∤ exp A: no unital φ
         if dedup and kind in runs:
             count += runs[kind]
-            if max_candidates is not None and count >= max_candidates:
+            if count >= limit:
                 return found
             continue
         start = count
+        homs: dict[tuple, int] = {}  # a pair of ring classes -> the φ count of its first ring pair
         pairs = itertools.product(enumerate(rings(a_carrier)), enumerate(rings(b_carrier)))
         for (i, a), (j, b) in pairs:
+            ka, kb = classes(a_carrier)[i], classes(b_carrier)[j]
+            pair = (ka.key, kb.key) if dedup else (i, j)
+            if pair in homs:
+                count += homs[pair]
+                if count >= limit:
+                    return found
+                continue
+            before = count
             for phi in _hom_maps(a, b):
                 count += 1
-                if not dedup or _new(
-                    seen, keys.triple(ring_keys(a_carrier)[i], ring_keys(b_carrier)[j], phi)
-                ):
+                if not dedup or _new(seen, keys.triple(ka, kb, phi)):
                     found.append(validate_lcrng(_assemble(a, b, phi)))
-                if max_candidates is not None and count >= max_candidates:
+                if count >= limit:
                     return found
+            homs[pair] = count - before
         runs[kind] = count - start
     return found
 

@@ -592,6 +592,30 @@ def is_ring_table(group: FiniteAbelianGroup, carrier, table) -> bool:
     )
 
 
+def brute_ring_classes(rings: list[FiniteCommRing]) -> list[int]:
+    """Each ring on one carrier as the index of the first ring isomorphic to
+    it.  Two rings are isomorphic when an additive automorphism σ of the
+    carrier carries one product onto the other, σ(xy) = σ(x)σ(y); every
+    permutation of the carrier fixing 0 is tried, so carriers stay small."""
+    if not rings:
+        return []
+    carrier, add = rings[0].carrier, rings[0].group.add
+    nonzero = [x for x in carrier if x]
+    automorphisms = []
+    for images in itertools.permutations(nonzero):
+        sigma = {0: 0, **dict(zip(nonzero, images))}
+        if all(sigma[add[x][y]] == add[sigma[x]][sigma[y]] for x in carrier for y in carrier):
+            automorphisms.append(sigma)
+
+    def isomorphic(r, s) -> bool:
+        return any(
+            all(sigma[r.mul[x][y]] == s.mul[sigma[x]][sigma[y]] for x in carrier for y in carrier)
+            for sigma in automorphisms
+        )
+
+    return [next(j for j in range(i + 1) if isomorphic(rings[j], r)) for i, r in enumerate(rings)]
+
+
 def brute_dedup(structures: list[LcRng]) -> list[LcRng]:
     """The first structure of each isomorphism class, in order: each one is
     compared with every class kept so far by the brute-force

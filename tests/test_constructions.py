@@ -35,6 +35,7 @@ from oracles import (
     GROUPS_TO_16,
     all_pairs_firsts,
     brute_dedup,
+    brute_ring_classes,
     brute_ring_structures,
     is_ring_table,
     reference_null,
@@ -334,6 +335,89 @@ def test_census_searches_no_rings_on_pairs_without_a_unital_hom(orders, monkeypa
     monkeypatch.setattr(huliu.constructions, "_ring_structures", counted)
     enumerate_lcrngs(direct_sum_group(orders))
     assert len(carriers) == len(set(carriers)) == RING_SEARCHES[orders]
+
+
+def _is_cyclic(orders):
+    return all(math.gcd(x, y) == 1 for x, y in itertools.combinations(orders, 2))
+
+
+@pytest.mark.parametrize("orders", [(1,), *_factor_lists(16)], ids=_spec)
+def test_the_census_is_empty_exactly_on_cyclic_groups(orders, monkeypatch):
+    """Every ordered factorisation of n <= 16: a cyclic group is answered
+    before any subgroup is listed, and it has no class even when every
+    carrier pair is tried; every other group has a structure."""
+    listed = []
+    real = enumerate_subgroups
+    monkeypatch.setattr(
+        huliu.constructions, "enumerate_subgroups", lambda g: listed.append(g) or real(g)
+    )
+    group = direct_sum_group(orders)
+    census = enumerate_lcrngs(group)
+    if _is_cyclic(orders):
+        assert census == [] and listed == []
+        assert all_pairs_firsts(group) == []
+    else:
+        assert census and len(listed) == 1
+
+
+@pytest.mark.parametrize("orders", ORACLE_GROUPS, ids=_spec)
+def test_ring_classes_are_the_isomorphism_classes(orders, monkeypatch):
+    """On every carrier the census searches, rings share a class exactly
+    when an additive automorphism carries one product onto the other, and
+    each ring's class key is its own key over every basis."""
+    seen = []
+    real = huliu.constructions._TripleKeys.classes
+
+    def recorded(self, rings):
+        rings = list(rings)
+        seen.append((self, rings, real(self, rings)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(huliu.constructions._TripleKeys, "classes", recorded)
+    enumerate_lcrngs(direct_sum_group(orders))
+    assert bool(seen) == (not _is_cyclic(orders))
+    for keys, rings, classes in seen:
+        firsts = [next(j for j, c in enumerate(classes) if c is k) for k in classes]
+        assert firsts == brute_ring_classes(rings), sorted(rings[0].carrier)
+        assert [c.key for c in classes] == [keys.ring(r).key for r in rings]
+        assert all(classes[i] == keys.ring(rings[i]) for i in set(firsts))
+
+
+def test_census_keys_and_searches_each_ring_class_once(monkeypatch):
+    """Z2^4: 6 + 3 + 6 ring classes on the carriers of its three type pairs
+    (Z2, Z2^3), (Z2^2, Z2^2) and (Z2^3, Z2) give 6 + 9 + 6 pairs of classes,
+    one φ search each (1,040 ring pairs); one constant table per ring and
+    one per basis per class (150,674 tables keying every ring)."""
+    calls = Counter()
+
+    def counted(name, real):
+        return lambda *args: calls.update([name]) or real(*args)
+
+    for name in ("_hom_maps", "_constants"):
+        monkeypatch.setattr(
+            huliu.constructions, name, counted(name, getattr(huliu.constructions, name))
+        )
+    assert len(enumerate_lcrngs(direct_sum_group([2, 2, 2, 2]))) == 21
+    assert calls["_hom_maps"] == 21
+    assert calls["_constants"] <= 3000
+
+
+# Z2^4 classes kept by a cut after K triples, recorded from the labeled ring
+# pair search.  Carrier pairs of type (Z2, Z2^3) hold 448 triples each,
+# (Z2^2, Z2^2) 216 from 53,760 and (Z2^3, Z2) 616 from 174,720; cuts fall
+# inside a first pair, inside a skipped pair and at class firsts.
+Z2_4_CUTS = {
+    1: 1, 5: 2, 51: 4, 164: 6, 448: 6, 449: 6, 600: 6, 53761: 7, 53762: 8, 53800: 11,
+    53923: 15, 174720: 15, 174725: 17, 174800: 20, 174809: 20, 174810: 21, 10**6: 21,
+}
+
+
+def test_census_cuts_on_z2_4_keep_the_classes_of_the_labeled_search(census_of):
+    group = direct_sum_group([2, 2, 2, 2])
+    census = [_tables(s) for s in census_of((2, 2, 2, 2))]
+    for k, count in Z2_4_CUTS.items():
+        kept = [_tables(s) for s in enumerate_lcrngs(group, max_candidates=k)]
+        assert kept == census[:count], k
 
 
 @pytest.mark.parametrize("orders", ORACLE_GROUPS, ids=_spec)

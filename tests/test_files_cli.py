@@ -424,6 +424,27 @@ def test_cli_enumerate_rejects_max_candidates_below_one(capsys, k):
     assert capsys.readouterr().out == "0;1;0,2\n"
 
 
+@pytest.mark.parametrize(
+    "spec", ["zmod:2_2", "zmod:+2", "zmod: 2", "zmod:٢x2", "zmod:-2", "zmod:2x2 "]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--group"],
+        ["construct", "--b", "zmod:2", "--a"],
+        ["construct", "--a", "zmod:4", "--b"],
+    ],
+    ids=["enumerate", "construct-a", "construct-b"],
+)
+def test_ring_spec_factors_are_ascii_digits(capsys, argv, spec):
+    """int() reads 2_2 as 22 and takes signs, spaces and other scripts'
+    digits; a factor is read only when it is ASCII digits."""
+    assert run(argv + [spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad-ring-spec: cannot parse {spec!r}\n"
+
+
 def test_cli_rejects_oversized_specs_before_building_tables(capsys, monkeypatch):
     built = []
     monkeypatch.setattr(huliu.cli, "zmod", lambda n: built.append(n) or zmod(n))
