@@ -342,16 +342,17 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple]] = {
 }
 
 
-# Parsers by subcommand name (None: every subcommand), each built on first
-# use and kept for the process: parsing an argv leaves a parser unchanged,
-# and building one costs several times what parsing with it does.  Help
-# width (COLUMNS) is read when help is printed, not when a parser is built.
+# Parsers by subcommand name (None: the `huliu` parser with every
+# subcommand), each built on first use and kept for the process: parsing an
+# argv leaves a parser unchanged, and building one costs several times what
+# parsing with it does.  Help width (COLUMNS) is read when help is printed,
+# not when a parser is built.
 _PARSERS: dict[str | None, argparse.ArgumentParser] = {}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `huliu` parser with every subcommand, or with `command` alone,
-    built once per process."""
+    """The `huliu` parser with every subcommand, or the subparser of
+    `command` alone (prog `huliu <command>`), built once per process."""
     parser = _PARSERS.get(command)
     if parser is None:
         parser = _PARSERS[command] = _new_parser(command)
@@ -359,6 +360,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _new_parser(command: str | None) -> argparse.ArgumentParser:
+    """The full parser, or for a named command the subparser that the full
+    parser would hold for it: the same construction, so its prog, help,
+    usage and errors are those the full parser gives for that command."""
     parser = argparse.ArgumentParser(
         prog="huliu",
         description="Workbench for left commutative rngs and rings with the Hu-Liu product.",
@@ -370,22 +374,30 @@ def _new_parser(command: str | None) -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("text", "csv"), default="text")
             for flag, kwargs in options:
                 p.add_argument(flag, **kwargs)
+            if name == command:
+                return p
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A named subcommand needs only its own subparser.  No arguments, -h, an
-    # unknown name and leftover arguments get the full parser and its usage.
+    # A named subcommand is parsed once, by its own subparser, as the full
+    # parser would hand it the rest of argv.  No arguments, -h and an
+    # unknown name get the full parser; so do leftover arguments, which it
+    # reports with its usage.
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args, rest = build_parser(command).parse_known_args(argv)
-        if rest:
+        if command is None:
             args = build_parser().parse_args(argv)
+            command = args.command
+        else:
+            args, rest = build_parser(command).parse_known_args(argv[1:])
+            if rest:
+                build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return COMMANDS[args.command][0](args)
+        return COMMANDS[command][0](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

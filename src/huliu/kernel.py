@@ -15,9 +15,10 @@ life (`_additive`), so + is converted and its group laws are proved once
 per group, however many validators read it.
 Subgroups are sums of cyclic subgroups:
 H + <x> = {h + k·x} is already a subgroup, so one multiples walk serves
-closure, the subgroup lattice, generator sequences and element orders, and
-one loop grows a lattice as the sums of its atoms (cyclic subgroups here,
-principal ideals in ideals.py).
+closure, the subgroup lattice and generator sequences, and one loop grows a
+lattice as the sums of its atoms (cyclic subgroups here, principal ideals in
+ideals.py).  The walk of x also gives the order of every k·x, so element
+orders take one walk per cyclic subgroup.
 
 Elements are indices 0..n-1 and the additive zero is pinned to index 0,
 so subsets and witnesses are stable across tools and file round-trips.
@@ -632,15 +633,20 @@ def validate_group(add: Sequence[Sequence[int]]) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(order=len(table), add=table)
 
 
-def _cyclic(group: FiniteAbelianGroup, x: int) -> Subset:
-    """The multiples of x: the cyclic subgroup it generates."""
-    if not (0 <= x < group.order):
-        raise InputError("subset-out-of-range", f"index {x} not in carrier")
+def _multiples(group: FiniteAbelianGroup, x: int) -> list[int]:
+    """0, x, 2x, ...: the k-th entry is k·x, and there are ord x of them."""
     multiples, y = [0], x
     while y != 0:
         multiples.append(y)
         y = group.add[y][x]
-    return frozenset(multiples)
+    return multiples
+
+
+def _cyclic(group: FiniteAbelianGroup, x: int) -> Subset:
+    """The multiples of x: the cyclic subgroup it generates."""
+    if not (0 <= x < group.order):
+        raise InputError("subset-out-of-range", f"index {x} not in carrier")
+    return frozenset(_multiples(group, x))
 
 
 def _sum(group: FiniteAbelianGroup, h: Subset, k: Subset) -> Subset:
@@ -675,13 +681,17 @@ def format_subset(subset: Iterable[int]) -> str:
 
 
 def parse_subset(text: str, order: int | None = None) -> Subset:
-    try:
-        items = frozenset(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise InputError("bad-subset", f"cannot parse subset {text!r}") from exc
+    """Comma-separated indices, in any order; repeats count once and blank
+    parts are skipped.  A part is read only when it is ASCII digits once
+    ASCII whitespace is stripped: int() would also read signs, underscores
+    and other scripts' digits."""
+    parts = [part.strip(" \t\n\r\v\f") for part in text.split(",")]
+    if not all(part.isascii() and part.isdigit() for part in parts if part):
+        raise InputError("bad-subset", f"cannot parse subset {text!r}")
+    items = frozenset(int(part) for part in parts if part)
     if order is not None:
         for i in items:
-            if not (0 <= i < order):
+            if i >= order:
                 raise InputError("subset-out-of-range", f"index {i} not in 0..{order - 1}")
     return items
 
@@ -728,7 +738,22 @@ def generating_sequence(group: FiniteAbelianGroup, carrier: Subset) -> list[int]
 
 
 def element_orders(group: FiniteAbelianGroup) -> tuple[int, ...]:
-    return tuple(len(_cyclic(group, x)) for x in group.elements())
+    """The additive order of each element, from one walk per cyclic subgroup.
+
+    The walk 0, x, 2x, ... of an element x of unknown order m meets every
+    k·x, whose order is m / gcd(k, m); it fills in each of those not yet
+    known.  An element already filled in starts no walk, so a cyclic group
+    of order n costs one walk of n steps."""
+    orders = [0] * group.order
+    for x in group.elements():
+        if orders[x]:
+            continue
+        multiples = _multiples(group, x)
+        m = len(multiples)
+        for k, y in enumerate(multiples):
+            if not orders[y]:
+                orders[y] = m // math.gcd(k, m)
+    return tuple(orders)
 
 
 def direct_sum_group(orders: Sequence[int]) -> FiniteAbelianGroup:

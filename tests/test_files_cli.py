@@ -1,6 +1,10 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -216,16 +220,102 @@ def test_each_parser_is_built_once_per_process():
     assert len({id(build_parser(c)) for c in (*COMMANDS, None)}) == len(COMMANDS) + 1
 
 
+def _argv_corpus(count=300, seed=25):
+    """Seeded argvs over every subcommand: its flags in full, as 4-letter
+    abbreviations and as --flag=value; with --, -h, unknown flags and extra
+    positionals anywhere, options before the subcommand name, bad choices
+    and bad ints."""
+    values = {
+        "--format": ["text", "csv", "xml"],
+        "--subset": ["0,1", "1, 0", ""],
+        "--max-degree": ["3", "x", "-2"],
+        "--family": ["semidirect", "other"],
+        "--a": ["zmod:4"],
+        "--b": ["zmod:2", "-x"],
+        "--hom": ["id", "p1"],
+        "--name": ["n", ""],
+        "--group": ["zmod:2x2"],
+        "--max-candidates": ["5", "x", "1e3"],
+    }
+    rand = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        name = rand.choice(list(COMMANDS))
+        groups = []
+        for flag, kwargs in (("--format", {}), *COMMANDS[name][2]):
+            if not flag.startswith("--"):
+                if rand.random() < 0.9:
+                    groups.append(["F"])
+                continue
+            if rand.random() < 0.4:
+                continue
+            spelled = flag[:6] if rand.random() < 0.3 else flag
+            if kwargs.get("action") == "store_true":
+                groups.append([spelled])
+            elif rand.random() < 0.3:
+                groups.append([f"{spelled}={rand.choice(values[flag])}"])
+            else:
+                groups.append([spelled, rand.choice(values[flag])])
+        rand.shuffle(groups)
+        before = groups.pop() if groups and rand.random() < 0.05 else []
+        argv = [*before, name, *(token for group in groups for token in group)]
+        for noise in ("--", "-h", "--lenient", "extra", "-x"):
+            if rand.random() < 0.1:
+                argv.insert(rand.randrange(len(argv) + 1), noise)
+        corpus.append(argv)
+    return corpus
+
+
+def _fields(args):
+    return {k: v for k, v in vars(args).items() if k != "command"}
+
+
 def test_kept_parsers_answer_as_a_fresh_full_parser(capsys, monkeypatch):
     """In one process, at one help width and then another, every usage
-    argv gets what a newly built full parser gives."""
+    argv and a seeded corpus get what a newly built full parser gives: the
+    same exit code, stdout and stderr where it exits, and where it parses,
+    the same handler with the same arguments."""
+    seen = []
+
+    def recorder(name):
+        return lambda args: seen.append((name, _fields(args))) or 0
+
+    for name, (_, helptext, options) in COMMANDS.items():
+        monkeypatch.setitem(COMMANDS, name, (recorder(name), helptext, options))
+    corpus = _argv_corpus()
+    assert {argv[0] for argv in corpus} >= set(COMMANDS)
+    parsed = 0
     for columns in ("80", "40"):
         monkeypatch.setenv("COLUMNS", columns)
-        for argv in USAGE_ARGVS:
-            with pytest.raises(SystemExit) as stop:
-                huliu.cli._new_parser(None).parse_args(argv)
-            expected = (int(stop.value.code or 0), *capsys.readouterr())
-            assert (run(argv), *capsys.readouterr()) == expected, (columns, argv)
+        for argv in [*USAGE_ARGVS, *corpus]:
+            try:
+                args = huliu.cli._new_parser(None).parse_args(argv)
+            except SystemExit as stop:
+                expected = (int(stop.code or 0), *capsys.readouterr())
+                assert (run(argv), *capsys.readouterr()) == expected, (columns, argv)
+                assert not seen, argv
+                continue
+            assert (run(argv), *capsys.readouterr()) == (0, "", ""), argv
+            assert seen == [(args.command, _fields(args))], argv
+            seen.clear()
+            parsed += 1
+    assert parsed > 100
+
+
+def test_run_parses_a_named_command_once(files, monkeypatch):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["verify", files["r4"]]) == 0
+        assert calls == ["huliu verify"]
+        assert run(["enumerate", "--group", "zmod:12"]) == 0
+    assert calls == ["huliu verify", "huliu enumerate"]
 
 
 def test_run_builds_only_the_named_subparser(files, capsys, monkeypatch):
@@ -320,6 +410,29 @@ def test_cli_lying_over_diagonal(files, tmp_path, capsys, u8):
         "0;0,2;0,2;yes",
         "0,4;0,1,4,5|0,2,4,6;0,1,4,5|0,2,4,6;yes",
     ]
+
+
+@pytest.mark.parametrize("subset", ["1_0", "٣", "+1", "-0", "-1", "0,x", "0,1.0", "0,\u2003"])
+@pytest.mark.parametrize("command", ["lying-over", "integral"])
+def test_subset_indices_are_ascii_digits(files, capsys, command, subset):
+    """int() reads 1_0 as 10 and takes signs and other scripts' digits; a
+    part is read only when it is ASCII digits, and -1 is refused as text
+    before any range check."""
+    assert run([command, files["r4"], "--subset", subset]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad-subset: cannot parse subset {subset!r}\n"
+
+
+@pytest.mark.parametrize("command", ["lying-over", "integral"])
+def test_subset_indices_take_any_order_spaces_and_repeats(files, capsys, command):
+    printed = []
+    for subset in ("0,1,2,3", " 3, 1 ,2,0,2 ", "0,,1,2,3,\t"):
+        assert run([command, files["r4"], "--subset", subset, "--format", "csv"]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1] == printed[2]
+    assert run([command, files["r4"], "--subset", "0,4"]) == 2
+    assert capsys.readouterr().err == "error: subset-out-of-range: index 4 not in 0..3\n"
 
 
 def test_cli_integral_reports_a_bound_too_low_as_missing(tmp_path, capsys, u8):

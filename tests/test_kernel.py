@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from dataclasses import replace
 from functools import cache, reduce
@@ -37,7 +38,7 @@ from huliu.kernel import (
     subset_key,
 )
 
-from oracles import brute_subgroups
+from oracles import GROUPS_TO_16, brute_subgroups
 
 KLEIN = [
     [0, 1, 2, 3],
@@ -268,6 +269,45 @@ def test_element_orders_and_generating_sequences(gi):
     assert element_orders(g) == tuple(least)
     for s in _brute_subgroups(gi):
         assert subgroup_closure(g, generating_sequence(g, s)) == s
+
+
+def _ordered_factorisations(n):
+    """Every tuple of factors >= 2, in order, whose product is n."""
+    return [(n,)] + [
+        (d, *rest) for d in range(2, n) if n % d == 0 for rest in _ordered_factorisations(n // d)
+    ]
+
+
+def _walk_orders(g):
+    return tuple(len(kernel._cyclic(g, x)) for x in g.elements())
+
+
+def test_element_orders_match_the_multiples_walk_on_every_factorisation():
+    """One walk per cyclic subgroup gives what walking every element gives,
+    on every ordered factorisation of 2 <= n <= 64 (Z2^6 among them)."""
+    factorisations = [f for n in range(2, 65) for f in _ordered_factorisations(n)]
+    assert (2,) * 6 in factorisations and len(factorisations) == 440
+    for orders in factorisations:
+        g = direct_sum_group(list(orders))
+        assert element_orders(g) == _walk_orders(g), orders
+
+
+@pytest.mark.parametrize("orders", GROUPS_TO_16, ids=lambda o: "x".join(map(str, o)))
+def test_element_orders_do_not_lean_on_the_mixed_radix_layout(orders):
+    """On 20 seeded relabelings (permutations fixing 0) of each group, the
+    orders are the walk's and move with the labels."""
+    g = direct_sum_group(list(orders))
+    base = element_orders(g)
+    rand = random.Random(g.order)
+    for _ in range(20):
+        perm = [0, *rand.sample(range(1, g.order), g.order - 1)]
+        table = [[0] * g.order for _ in g.elements()]
+        for x in g.elements():
+            for y in g.elements():
+                table[perm[x]][perm[y]] = perm[g.add[x][y]]
+        h = validate_group(table)
+        assert element_orders(h) == _walk_orders(h)
+        assert all(element_orders(h)[perm[x]] == base[x] for x in g.elements())
 
 
 def _gaussian_binomial(n, k, q):
